@@ -1,6 +1,8 @@
 """Numerical toolkit for superdense-coding capacities of multipartite states
 sent through correlated Pauli-class covariant channels."""
 
+import logging
+
 from .capacity import (
     CapacityReport,
     EncodingEnsemble,
@@ -81,3 +83,7 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+# Library convention: records go nowhere unless the application configures
+# logging, so CLI output is unchanged.
+logging.getLogger("densecode").addHandler(logging.NullHandler())

@@ -17,6 +17,7 @@ construction.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +53,8 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .states import bell_diagonal, bell_copies
+
+logger = logging.getLogger("densecode")
 
 COVARIANCE_CERT_TOL = 1e-8
 CROSSCHECK_TOL = 1e-6
@@ -420,8 +423,9 @@ def _minimize_restarts(
                     "xatol": 1e-8,
                 },
             )
-        except (NumericalError, FloatingPointError):
-            pass  # keep whatever the restart evaluated before failing
+        except (NumericalError, FloatingPointError) as exc:
+            # Keep whatever the restart evaluated before failing.
+            logger.warning("restart %d aborted: %s: %s", rid, type(exc).__name__, exc)
         if tracker.best_theta is None or not np.isfinite(tracker.best_value):
             continue
         trace.append((rid, float(tracker.best_value)))

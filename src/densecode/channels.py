@@ -8,13 +8,20 @@ is indexed per party by the flattened label ``l = m*d + n``.  ``acts_on``
 assigns each party to a layout slot; several parties may share one slot, in
 which case they tile it in party order (this is how a merged
 product-dimension receiver slot hosts the b_1..b_k parties).
+
+A Pauli channel is diagonal in the Weyl basis, with eigenvalues given by the
+symplectic Fourier transform of its error rates, so ``apply_pauli`` never
+sums the terms: it gathers the shifted diagonals of the state, multiplies by
+the eigenvalues between two products with the group Fourier matrix, and
+scatters back.  The kernel for one channel and layout is four D x D arrays,
+O(D^2) memory whatever the number of terms.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +44,7 @@ from .linalg import (
 )
 
 JOINT_TENSOR_CAP = 16_000_000  # dense entries
-CORRELATION_PAIR_CAP = 15      # subset expansion is 2^pairs
+CORRELATION_PAIR_CAP = 15      # the partition sum grows as Bell(parties)
 
 # sigma_0..sigma_3 expressed as displacement labels l = m*2 + n (conjugation
 # by V_11 = -i*sigma_2 equals conjugation by sigma_2).
@@ -108,6 +115,8 @@ class PauliChannelSpec:
     party_dims: tuple[int, ...]
     joint: np.ndarray
     acts_on: tuple[int, ...]
+    # Weyl kernels by layout dims, built by apply_pauli on first use.
+    _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         party_dims = tuple(int(d) for d in self.party_dims)
@@ -202,12 +211,13 @@ def correlated_probs(
 ) -> PauliChannelSpec:
     """Joint tensor of a pairwise-correlated Pauli channel.
 
-    Each subset T of the pair set contributes weight
-    prod_{e in T} mu_e * prod_{e not in T} (1 - mu_e); labels within every
-    connected component of T are forced equal, and the component contributes
-    the single-party factor of its lowest-index member.  This reproduces the
-    uncorrelated product at mu = 0 and the fully correlated diagonal at
-    mu = 1, and sums to one for every mu.
+    Each pair (j, l) is independently "on" with probability mu_jl; labels
+    within every connected component of the on pairs are forced equal, and
+    the component contributes the single-party factor of its lowest-index
+    member.  The sum runs over the set partitions those components induce,
+    each weighted by the probability that the components are exactly its
+    blocks.  This reproduces the uncorrelated product at mu = 0 and the
+    fully correlated diagonal at mu = 1, and sums to one for every mu.
     """
     parties = len(singles)
     if parties < 2:
@@ -222,53 +232,76 @@ def correlated_probs(
     n_labels = d * d
     if n_labels ** parties > JOINT_TENSOR_CAP:
         raise SizeLimitError(f"joint tensor would have {n_labels ** parties} entries")
-    pairs = [(j, l) for j in range(parties) for l in range(j + 1, parties)]
-    if len(pairs) > CORRELATION_PAIR_CAP:
+    pairs = parties * (parties - 1) // 2
+    if pairs > CORRELATION_PAIR_CAP:
         raise SizeLimitError(
-            f"{len(pairs)} correlation pairs exceed cap {CORRELATION_PAIR_CAP}"
+            f"{pairs} correlation pairs exceed cap {CORRELATION_PAIR_CAP}"
         )
-    mus = np.array([corr.mu[j, l] for j, l in pairs])
     tables = [s.q.ravel() for s in singles]
 
     joint = np.zeros((n_labels,) * parties)
-    for on_mask in itertools.product((False, True), repeat=len(pairs)):
-        weight = 1.0
-        for on, mu in zip(on_mask, mus):
-            weight *= mu if on else 1.0 - mu
-        if weight == 0.0:
-            continue
-        component = _connected_components(parties, pairs, on_mask)
-        roots = sorted(set(component))
-        for labels in itertools.product(range(n_labels), repeat=len(roots)):
-            term = weight
-            for root, lab in zip(roots, labels):
-                term *= tables[root][lab]
-            if term == 0.0:
-                continue
-            by_root = dict(zip(roots, labels))
-            idx = tuple(by_root[component[party]] for party in range(parties))
-            joint[idx] += term
+    for blocks, weight in _component_partitions(corr.mu):
+        term = weight * functools.reduce(np.multiply.outer, [tables[b[0]] for b in blocks])
+        # Every member of block b takes block b's label: broadcast the term
+        # onto the diagonal where those labels are equal.
+        grid = np.ix_(*[np.arange(n_labels)] * len(blocks))
+        owner = {p: b for b, block in enumerate(blocks) for p in block}
+        joint[tuple(grid[owner[p]] for p in range(parties))] += term
     if acts_on is None:
         acts_on = range(parties)
     return PauliChannelSpec((d,) * parties, joint, tuple(acts_on))
 
 
-def _connected_components(parties, pairs, on_mask) -> list[int]:
-    """Per-party component root (lowest member index) under the on edges."""
-    parent = list(range(parties))
+def _component_partitions(mu: np.ndarray):
+    """Yield (blocks, weight) for every set partition of the parties.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    The weight is the probability that the connected components of the
+    random graph with independent edges (j, l) present w.p. mu_jl are exactly
+    the blocks: each block is connected and no edge crosses two blocks.
+    Blocks are tuples of party indices ordered by lowest member; partitions
+    of weight zero are skipped.
+    """
+    parties = mu.shape[0]
+    absent = 1.0 - mu
 
-    for (j, l), on in zip(pairs, on_mask):
-        if on:
-            a, b = find(j), find(l)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [find(p) for p in range(parties)]
+    def members(mask):
+        return [p for p in range(parties) if mask >> p & 1]
+
+    def cut(a, b):
+        return math.prod(absent[j, l] for j in members(a) for l in members(b))
+
+    def submasks(mask):
+        sub = mask
+        while True:
+            yield sub
+            if sub == 0:
+                return
+            sub = (sub - 1) & mask
+
+    # connected[S]: the component of min(S) inside S is one of its subsets T,
+    # reached with probability connected[T] * cut(T, S \ T); these sum to one.
+    connected = {}
+    for mask in range(1, 1 << parties):
+        low = mask & -mask
+        others = sum(connected[low | sub] * cut(low | sub, mask ^ (low | sub))
+                     for sub in submasks(mask ^ low) if low | sub != mask)
+        # Rounding can leave -1e-17 where a block cannot connect.
+        connected[mask] = max(1.0 - others, 0.0)
+
+    def split(rest):
+        if rest == 0:
+            yield (), 1.0
+            return
+        low = rest & -rest
+        for sub in submasks(rest ^ low):
+            block = low | sub
+            weight = connected[block] * cut(block, rest ^ block)
+            if weight == 0.0:
+                continue
+            for blocks, tail in split(rest ^ block):
+                yield (tuple(members(block)),) + blocks, weight * tail
+
+    yield from split((1 << parties) - 1)
 
 
 def fully_correlated_probs(
@@ -315,73 +348,95 @@ def _slot_assignment(spec: PauliChannelSpec, layout: SubsystemLayout) -> list[li
     return per_slot
 
 
-def _pauli_term_ops(spec: PauliChannelSpec, layout: SubsystemLayout):
-    """Cached (probabilities, stacked full-space unitaries) of nonzero terms."""
-    cache = getattr(spec, "_term_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(spec, "_term_cache", cache)
-    key = layout.dims
-    if key in cache:
-        return cache[key]
+@dataclass(frozen=True, eq=False)
+class _WeylKernel:
+    """A joint Pauli channel as a pointwise multiply in the Weyl domain.
 
-    per_slot = _slot_assignment(spec, layout)
-    dims = layout.dims
-    eyes = [np.eye(d, dtype=complex) for d in dims]
-    probs = []
-    ops = []
-    for idx in np.argwhere(spec.joint > 0.0):
-        probs.append(float(spec.joint[tuple(idx)]))
-        party_ops = [
-            displacement_op(spec.party_dims[p], int(l) // spec.party_dims[p],
-                            int(l) % spec.party_dims[p])
-            for p, l in enumerate(idx)
-        ]
-        slot_ops = []
-        for slot in range(len(dims)):
-            members = per_slot[slot]
-            if members:
-                slot_ops.append(kron_all([party_ops[p] for p in members]))
-            else:
-                slot_ops.append(eyes[slot])
-        ops.append(kron_all(slot_ops))
-    # Flattened layouts so application is two BLAS products:
-    # out_ij = sum_{t,k} q_t (ops rho)[t,i,k] conj(ops)[t,j,k].
-    stack = np.stack(ops)
+    Read the full-space index as mixed-radix digits: one per party in kron
+    order (parties tiling a slot in party order), one per untouched slot.
+    With ``chi(a, b) = exp(2 pi i sum_f a_f b_f / r_f)`` and ``+`` taken per
+    digit modulo its radix ``r_f``, the displacement identities give
+
+        Lambda(rho)[j+delta, j] = sum_m Qhat(m, delta) rho[j+delta+m, j+m],
+        Qhat(m, delta) = sum_n q(m, n) chi(delta, n).
+
+    Each row ``delta`` of the gathered matrix ``R[delta, j] = rho[j+delta, j]``
+    is a group cross-correlation, so the group Fourier transform over ``j``
+    diagonalizes it with eigenvalues
+    ``lambda(delta, xi) = sum_mn q(m, n) chi(delta, n) chi(m, xi)``.
+    Four D x D arrays, whatever the number of terms.
+    """
+
+    gather: np.ndarray   # [delta, j] -> flat index of (j + delta, j)
+    fourier: np.ndarray  # W[j, xi] = conj(chi(j, xi))
+    eigen: np.ndarray    # lambda(delta, xi) / D
+    inverse: np.ndarray  # conj(W)
+
+
+def _weyl_kernel(spec: PauliChannelSpec, layout: SubsystemLayout) -> _WeylKernel:
+    """The kernel of ``spec`` on ``layout``, built on first use per slot dims."""
+    kernel = spec._kernels.get(layout.dims)
+    if kernel is not None:
+        return kernel
+    radices: list[int] = []
+    touched: list[int] = []  # parties in digit order
+    extent: list[int] = []   # lambda varies along touched digits only
+    for slot, members in enumerate(_slot_assignment(spec, layout)):
+        tile = [spec.party_dims[p] for p in members]
+        radices += tile or [layout.dims[slot]]
+        extent += tile or [1]
+        touched += members
     total = layout.total_dim
-    flat = np.ascontiguousarray(stack.reshape(len(ops) * total, total))
-    bra = np.ascontiguousarray(
-        stack.conj().transpose(1, 0, 2).reshape(total, len(ops) * total)
-    )
-    cached = (np.asarray(probs), stack, flat, bra)
-    cache[key] = cached
-    return cached
+
+    # q over (m digits, n digits), transformed over n to delta and over m to xi.
+    t = len(touched)
+    q = spec.joint.reshape([x for d in spec.party_dims for x in (d, d)])
+    q = q.transpose([2 * p for p in touched] + [2 * p + 1 for p in touched])
+    lam = np.fft.ifftn(q, axes=list(range(t, 2 * t)), norm="forward")
+    lam = np.fft.ifftn(lam, axes=list(range(t)), norm="forward")
+    lam = lam.transpose(list(range(t, 2 * t)) + list(range(t))).reshape(extent * 2)
+    eigen = np.broadcast_to(lam, radices * 2).reshape(total, total) / total
+
+    digits = np.indices(radices).reshape(len(radices), total)
+    shifted = np.zeros((total, total), dtype=np.intp)
+    for r, dig in zip(radices, digits):
+        shifted = shifted * r + np.add.outer(dig, dig) % r
+    fourier = functools.reduce(np.kron, (
+        np.exp(-2j * np.pi * (np.multiply.outer(np.arange(r), np.arange(r)) % r) / r)
+        for r in radices
+    ))
+    kernel = _WeylKernel(shifted * total + np.arange(total), fourier, eigen, fourier.conj())
+    spec._kernels[layout.dims] = kernel
+    return kernel
 
 
 def apply_pauli(
     spec: PauliChannelSpec, rho, layout: SubsystemLayout
 ) -> np.ndarray:
-    """Apply the joint Pauli channel; zero-probability terms are skipped.
+    """Apply the joint Pauli channel in the Weyl domain.
 
-    Each term conjugates by its own full-space unitary (no Choi matrix is
-    formed); the per-term operators are cached on the channel object.
+    One gather of the D shifted diagonals, two D x D products with the group
+    Fourier matrix around a pointwise multiply by the channel's eigenvalues,
+    and a scatter back (see ``_WeylKernel``).  The kernel is cached on the
+    channel object per layout and holds O(D^2) entries for any number of
+    terms; no per-term operator or Choi matrix is formed.
     """
     rho = as_complex_matrix(rho, "rho")
-    if rho.shape != (layout.total_dim, layout.total_dim):
-        raise LayoutError(
-            f"state dim {rho.shape[0]} does not match layout total {layout.total_dim}"
-        )
-    probs, _, flat, bra = _pauli_term_ops(spec, layout)
     total = layout.total_dim
-    rotated = (flat @ rho).reshape(len(probs), total, total)
-    weighted = (rotated * probs[:, None, None]).transpose(1, 0, 2).reshape(
-        total, len(probs) * total
-    )
-    out = weighted @ bra.T
-    trace_dev = abs(out.trace() - rho.trace())
+    if rho.shape != (total, total):
+        raise LayoutError(
+            f"state dim {rho.shape[0]} does not match layout total {total}"
+        )
+    kernel = _weyl_kernel(spec, layout)
+    shifted = np.take(rho, kernel.gather)
+    result = ((shifted @ kernel.fourier) * kernel.eigen) @ kernel.inverse
+    # Row delta = 0 holds the diagonal, of the state and of the output.
+    trace_dev = abs(result[0].sum() - shifted[0].sum())
     if trace_dev > 1e-10:
         raise NumericalError(f"channel failed to preserve trace by {trace_dev:.3e}")
-    return out
+    out = np.empty(total * total, dtype=complex)
+    out[kernel.gather] = result
+    return out.reshape(total, total)
 
 
 def embed_operator(op, slots: Sequence[int], layout: SubsystemLayout) -> np.ndarray:

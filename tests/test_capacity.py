@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from densecode.capacity import (
     EncodingEnsemble,
     OptimizerConfig,
+    _minimize_restarts,
     apply_single_party,
     attaining_ensemble,
     capacity_covariant,
@@ -249,6 +251,27 @@ class TestCapacityCovariant:
     def test_optimizer_config_validation(self):
         with pytest.raises(ParameterError):
             OptimizerConfig(restarts=0)
+
+    def test_aborted_restart_is_logged(self, caplog):
+        # Restart 0 starts at zero and its first L-BFGS-B step has entries of
+        # 1/sqrt(3); restart 1 starts at a seeded normal draw with an entry
+        # of 1.046, where the objective raises.
+        def objective(theta):
+            if np.abs(theta).max() > 1.0:
+                raise NumericalError("channel failed to preserve trace by 1.000e-03")
+            return float(np.sum(theta**2))
+
+        cfg = OptimizerConfig(restarts=2, max_iters=20, seed=42)
+        with caplog.at_level(logging.WARNING, logger="densecode"):
+            value, _, trace = _minimize_restarts(objective, 3, cfg)
+        assert value == 0.0 and trace == ((0, 0.0),)
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("densecode", logging.WARNING)]
+        assert caplog.records[0].getMessage() == (
+            "restart 1 aborted: NumericalError: "
+            "channel failed to preserve trace by 1.000e-03")
+        assert any(isinstance(h, logging.NullHandler)
+                   for h in logging.getLogger("densecode").handlers)
 
 
 class TestCapacityNonunitary:

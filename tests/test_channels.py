@@ -1,8 +1,12 @@
+import importlib
+import itertools
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from densecode.channels import (
@@ -22,14 +26,14 @@ from densecode.channels import (
     product_probs,
     verify_covariance,
 )
-from densecode.displacement import local_encoding_set
+from densecode.displacement import displacement_op, local_encoding_set
 from densecode.errors import (
     ChannelError,
     LayoutError,
     ParameterError,
     ProbabilityError,
 )
-from densecode.linalg import SubsystemLayout, random_density_matrix
+from densecode.linalg import SubsystemLayout, kron_all, random_density_matrix
 from densecode.states import bell_diagonal, bell_state
 
 
@@ -70,6 +74,118 @@ def three_party_oracle(q1, q2, q3, mu):
 def random_single(d, rng):
     q = rng.random((d, d))
     return SinglePartyPauliSpec(d, q / q.sum())
+
+
+def subset_expansion_oracle(singles, mu):
+    """Joint tensor of a correlated channel by expanding every subset of pairs.
+
+    Each subset T of the pair set contributes weight
+    prod_{e in T} mu_e * prod_{e not in T} (1 - mu_e); labels within every
+    connected component of T are forced equal, and the component contributes
+    the single-party factor of its lowest-index member.
+    """
+    parties = len(singles)
+    n_labels = singles[0].q.size
+    pairs = [(j, l) for j in range(parties) for l in range(j + 1, parties)]
+    tables = [s.q.ravel() for s in singles]
+    joint = np.zeros((n_labels,) * parties)
+    for on_mask in itertools.product((False, True), repeat=len(pairs)):
+        weight = 1.0
+        for on, (j, l) in zip(on_mask, pairs):
+            weight *= mu[j, l] if on else 1.0 - mu[j, l]
+        if weight == 0.0:
+            continue
+        parent = list(range(parties))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for (j, l), on in zip(pairs, on_mask):
+            if on:
+                a, b = find(j), find(l)
+                parent[max(a, b)] = min(a, b)
+        component = [find(p) for p in range(parties)]
+        roots = sorted(set(component))
+        for labels in itertools.product(range(n_labels), repeat=len(roots)):
+            by_root = dict(zip(roots, labels))
+            term = weight * math.prod(tables[r][by_root[r]] for r in roots)
+            joint[tuple(by_root[component[p]] for p in range(parties))] += term
+    return joint
+
+
+def term_sum_oracle(spec, rho, layout):
+    """Apply a joint Pauli channel as the sum of its full-space conjugations.
+
+    Each nonzero term is the kron, over layout slots, of the displacement
+    operators of the parties tiling that slot in party order (identity on an
+    untouched slot), weighted by its probability.
+    """
+    out = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    for idx in np.argwhere(spec.joint > 0.0):
+        slot_ops = []
+        for slot, dim in enumerate(layout.dims):
+            members = [p for p, s in enumerate(spec.acts_on) if s == slot]
+            if not members:
+                slot_ops.append(np.eye(dim, dtype=complex))
+                continue
+            slot_ops.append(kron_all([
+                displacement_op(spec.party_dims[p], int(idx[p]) // spec.party_dims[p],
+                                int(idx[p]) % spec.party_dims[p])
+                for p in members
+            ]))
+        u = kron_all(slot_ops)
+        out += spec.joint[tuple(idx)] * (u @ rho @ u.conj().T)
+    return out
+
+
+def channel_case(party_dims, acts_on, slot_dims, seed, terms=None):
+    """(spec, layout, rho) with a random joint tensor and a random state.
+
+    The joint tensor is dense when ``terms`` is None, else it has ``terms``
+    random nonzero entries.
+    """
+    rng = np.random.default_rng(seed)
+    shape = tuple(d * d for d in party_dims)
+    size = math.prod(shape)
+    if terms is None:
+        joint = rng.random(size)
+    else:
+        joint = np.zeros(size)
+        joint[rng.choice(size, terms, replace=False)] = rng.random(terms)
+    spec = PauliChannelSpec(party_dims, (joint / joint.sum()).reshape(shape), acts_on)
+    layout = SubsystemLayout(slot_dims[:-1], slot_dims[-1])
+    return spec, layout, random_density_matrix(layout.total_dim, rng)
+
+
+@st.composite
+def pauli_channels_on_layouts(draw):
+    """A layout with 2 to 4 slots and a joint Pauli spec of random parties on it.
+
+    Each slot is tiled by one to three parties of dimension 2 or 3, or left
+    untouched; party order is shuffled across slots.  The total dimension is
+    at most 64.  The joint tensor is dense (at most 81 terms) or has a few
+    random nonzero terms.
+    """
+    parties = []  # (slot, dim)
+    slot_dims = []
+    for slot in range(draw(st.integers(2, 4))):
+        tile = draw(st.lists(st.sampled_from([2, 3]), max_size=3))
+        parties += [(slot, d) for d in tile]
+        slot_dims.append(math.prod(tile) if tile else draw(st.sampled_from([2, 3, 4])))
+    assume(parties and math.prod(slot_dims) <= 64)
+    order = draw(st.permutations(range(len(parties))))
+    party_dims = tuple(parties[i][1] for i in order)
+    size = math.prod(d * d for d in party_dims)
+    dense = size <= 81 and draw(st.booleans())
+    return channel_case(
+        party_dims,
+        tuple(parties[i][0] for i in order),
+        slot_dims,
+        draw(st.integers(0, 2**32 - 1)),
+        None if dense else min(size, draw(st.integers(1, 6))),
+    )
 
 
 class TestCorrelatedProbs:
@@ -138,6 +254,22 @@ class TestCorrelatedProbs:
         spec = correlated_probs(singles, CorrelationSpec(table))
         assert spec.joint.min() >= 0
         assert abs(spec.joint.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("parties,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2)])
+    @pytest.mark.parametrize("endpoints", [False, True])
+    def test_partition_sum_matches_subset_expansion(self, parties, d, endpoints):
+        rng = np.random.default_rng([parties, d, endpoints])
+        singles = [random_single(d, rng) for _ in range(parties)]
+        mu = np.zeros((parties, parties))
+        for j in range(parties):
+            for l in range(j + 1, parties):
+                mu[j, l] = mu[l, j] = rng.random()
+                if endpoints and rng.random() < 0.5:
+                    # Exact 0s and 1s: pairs that never or always correlate.
+                    mu[j, l] = mu[l, j] = rng.choice([0.0, 1.0])
+        spec = correlated_probs(singles, CorrelationSpec(mu))
+        oracle = subset_expansion_oracle(singles, mu)
+        assert np.abs(spec.joint - oracle).max() <= 1e-12
 
     def test_mixed_dimensions_rejected(self):
         rng = np.random.default_rng(4)
@@ -266,6 +398,36 @@ class TestApplyPauli:
             np.trace(rho.reshape(2, 4, 2, 4), axis1=1, axis2=3), np.eye(4) / 4
         )
         assert np.abs(out - sender_marg).max() < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(pauli_channels_on_layouts())
+    # D=64: a dense 256-term channel, and six parties (three tiling the
+    # receiver slot, two a sender slot) with a few terms; untouched slot in both.
+    @example(channel_case((2, 2, 2, 2), (2, 0, 2, 2), (2, 4, 8), seed=1))
+    @example(channel_case((2,) * 6, (2, 0, 2, 0, 2, 1), (4, 2, 8), seed=2, terms=6))
+    def test_matches_term_sum(self, case):
+        spec, layout, rho = case
+        out = apply_pauli(spec, rho, layout)
+        assert np.abs(out - term_sum_oracle(spec, rho, layout)).max() <= 1e-12
+        assert abs(out.trace() - 1.0) <= 1e-12
+        assert np.abs(out - out.conj().T).max() <= 1e-12
+
+    def test_kernel_memory_independent_of_terms(self, monkeypatch):
+        # The 6-party correlated channel of the benchmark's D=64 apply.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        singles, corr, layout, rho = importlib.import_module("workloads").apply64_inputs()
+        spec = correlated_probs(singles, corr)
+        few = fully_correlated_probs(6, [0.7, 0.1, 0.1, 0.1])
+        cached = []
+        for chan, terms in ((spec, 4096), (few, 4)):
+            assert np.count_nonzero(chan.joint) == terms
+            apply_pauli(chan, rho, layout)
+            apply_pauli(chan, rho, layout)
+            (kernel,) = chan._kernels.values()
+            cached.append(sum(a.nbytes for a in vars(kernel).values()))
+        total = layout.total_dim
+        assert cached[0] <= 4 * total * total * 16
+        assert cached[0] == cached[1]
 
     def test_tiling_mismatch_rejected(self):
         layout = SubsystemLayout([2], 2)
