@@ -8,7 +8,6 @@ from .capacity import (
     EncodingEnsemble,
     Lemma2Report,
     OptimizerConfig,
-    apply_single_party,
     attaining_ensemble,
     capacity_covariant,
     capacity_nonunitary,

@@ -6,12 +6,16 @@ For a covariant channel the capacity splits into three terms,
 
     C = log2(D_A) + S(Lambda_b(rho_b)) - min_encoding S(Lambda(encoded rho)),
 
-so the only hard part is the entropy minimization.  Unitaries are
-parameterized as exp(iH) with H Hermitian from d^2 real parameters; CPTP
-maps through Stinespring isometries with orthonormalized columns.  Every run
-keeps one restart pinned at the identity encoding, and derived searches are
-warm-started from the solutions of their restricted counterparts (global from
-local, CPTP from unitary) so the capacity hierarchy is monotone by
+so the only hard part is the entropy minimization.  Every encoder is a point
+on a product of Stiefel manifolds {V : V^dag V = 1}: one (env_dim * d) x d
+isometry per sender in ``local`` mode or one joint factor in ``global`` mode,
+whose row blocks are Stinespring Kraus operators; a unitary is the case
+env_dim = 1.  Each restart runs scipy's L-BFGS-B on the chart
+V = polar(V0 + Delta) around a plain start point V0, with the exact entropy
+gradient pulled back through the polar factor.  Every run keeps one restart
+pinned at the identity encoding, and derived searches are warm-started from
+the solutions of their restricted counterparts (global from the kron of the
+local optimum, CPTP from [U; 0]) so the capacity hierarchy is monotone by
 construction.
 """
 
@@ -21,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,13 +33,13 @@ from scipy.optimize import minimize
 from .channels import (
     CptpMap,
     PauliChannelSpec,
-    SinglePartyPauliSpec,
+    adjoint_map,
     apply_channel,
     depolarizing_probs,
     product_probs,
     verify_covariance,
 )
-from .displacement import LocalEncodingSet, displacement_op, local_encoding_set
+from .displacement import LocalEncodingSet, local_encoding_set
 from .errors import (
     LayoutError,
     NonCovariantChannelError,
@@ -45,8 +49,10 @@ from .errors import (
     ProbabilityError,
 )
 from .linalg import (
+    EIG_CLIP,
     SubsystemLayout,
     as_complex_matrix,
+    kron_all,
     partial_trace,
     random_unitary,
     shannon_entropy,
@@ -68,8 +74,6 @@ class OptimizerConfig:
 
     restarts: int = 16
     max_iters: int = 200
-    convergence_tol: float = 1e-8
-    fd_step: float = 1e-5
     seed: int = 42
 
     def __post_init__(self):
@@ -197,244 +201,193 @@ def attaining_ensemble(encoder_min, enc_set: LocalEncodingSet) -> EncodingEnsemb
 
 
 # ---------------------------------------------------------------------------
-# Encoder parameterizations
+# Encoders as points on a product of Stiefel manifolds
 # ---------------------------------------------------------------------------
 
-def hermitian_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian matrix from dim^2 reals: diagonal then upper-triangle re/im."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != dim * dim:
-        raise ParameterError(f"need {dim * dim} parameters, got {theta.size}")
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.diag_indices(dim)] = theta[:dim]
-    off = theta[dim:]
-    pos = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            val = off[pos] + 1j * off[pos + 1]
-            h[i, j] = val
-            h[j, i] = val.conjugate()
-            pos += 2
-    return h
+# [U; 0] is a critical point of the CPTP objective (a zero Kraus block gets a
+# zero gradient), so CPTP searches from the identity and from the unitary warm
+# start step this far off the unitary set along a seeded block first.
+CPTP_KICK = 0.1
 
 
-def params_from_hermitian(h: np.ndarray) -> np.ndarray:
-    h = as_complex_matrix(h, "h")
-    dim = h.shape[0]
-    theta = np.empty(dim * dim)
-    theta[:dim] = h.diagonal().real
-    pos = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            theta[pos] = h[i, j].real
-            theta[pos + 1] = h[i, j].imag
-            pos += 2
-    return theta
-
-
-def _expi(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def _unitary_builder(layout: SubsystemLayout, mode: str):
-    """(n_params, theta -> unitary on the joint sender space)."""
+def _factor_dims(layout: SubsystemLayout, mode: str) -> tuple[int, ...]:
+    """Input dimension of each encoder factor: one per sender, or one joint."""
     if mode == "local":
-        dims = layout.sender_dims
-    elif mode == "global":
-        dims = (layout.sender_dim,)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-    blocks = [d * d for d in dims]
-    n_params = sum(blocks)
-
-    def build(theta: np.ndarray) -> np.ndarray:
-        u = None
-        offset = 0
-        for d, size in zip(dims, blocks):
-            factor = _expi(hermitian_from_params(theta[offset:offset + size], d))
-            u = factor if u is None else np.kron(u, factor)
-            offset += size
-        return u
-
-    return n_params, build
+        return layout.sender_dims
+    if mode == "global":
+        return (layout.sender_dim,)
+    raise ParameterError(f"unknown mode {mode!r}")
 
 
-def _lift_local_to_global(theta_local: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
-    """Global parameters generating the same unitary as the local ones.
+def _kraus(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Joint Kraus stack of per-factor stacks (env, d_j, d_j): every kron
+    product, the first factor's Kraus index varying slowest."""
+    k = len(factors)
+    operands = []
+    for j, f in enumerate(factors):
+        operands += [f, [j, k + j, 2 * k + j]]
+    ks = np.einsum(*operands, list(range(3 * k)))
+    dim = math.prod(f.shape[1] for f in factors)
+    return ks.reshape(-1, dim, dim)
 
-    exp(i sum_j 1 x ... x H_j x ... x 1) factorizes exactly into the local
-    product because the embedded generators commute.
+
+def _factor_grads(grad: np.ndarray, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Gradients of the per-factor stacks from that of the joint stack: each
+    contracts the joint gradient with the conjugates of the other factors."""
+    k = len(factors)
+    grad = grad.reshape([f.shape[0] for f in factors] + [f.shape[1] for f in factors] * 2)
+    out = []
+    for j in range(k):
+        operands = [grad, list(range(3 * k))]
+        for m, f in enumerate(factors):
+            if m != j:
+                operands += [f.conj(), [m, k + m, 2 * k + m]]
+        out.append(np.einsum(*operands, [j, k + j, 2 * k + j]))
+    return out
+
+
+def _polar_chart(v0: np.ndarray, delta: np.ndarray):
+    """(V, pullback): V = polar(V0 + Delta), column-orthonormal, and the map
+    taking a gradient in V to the gradient in Delta.
+
+    With A = V0 + Delta = U s W^dag, V = U W^dag = A P for P = (A^dag A)^(-1/2).
+    The pullback is the adjoint of dV = dA P + A dP, with dP from
+    dM = dA^dag A + A^dag dA by Daleckii-Krein: in the eigenbasis W of the
+    Gram matrix M, dP is dM times the divided differences of x^(-1/2) at the
+    eigenvalues s^2.
     """
-    dims = layout.sender_dims
-    total = layout.sender_dim
-    h_global = np.zeros((total, total), dtype=complex)
-    offset = 0
-    for j, d in enumerate(dims):
-        h_j = hermitian_from_params(theta_local[offset:offset + d * d], d)
-        left = math.prod(dims[:j]) if j else 1
-        right = math.prod(dims[j + 1:]) if j + 1 < len(dims) else 1
-        h_global += np.kron(
-            np.kron(np.eye(left, dtype=complex), h_j), np.eye(right, dtype=complex)
-        )
-        offset += d * d
-    return params_from_hermitian(h_global)
+    a = v0 + delta
+    u, s, wh = np.linalg.svd(a, full_matrices=False)
+    w = wh.conj().T
+    p = (w / s) @ wh
+    divided = -1.0 / (np.multiply.outer(s, s) * np.add.outer(s, s))
+
+    def pullback(grad: np.ndarray) -> np.ndarray:
+        b = w @ (divided * (wh @ grad.conj().T @ a @ w)) @ wh
+        return grad @ p + a @ (b + b.conj().T)
+
+    return u @ wh, pullback
 
 
-def isometry_from_params(theta: np.ndarray, dim: int, env_dim: int) -> np.ndarray:
-    """Column-orthonormal (dim*env_dim) x dim matrix from raw parameters.
+def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int):
+    """objective(factors) -> (S(Lambda(encoded rho)) in bits, dS/dV per factor).
 
-    QR with phase fixing; the map is the identity on matrices whose columns
-    are already orthonormal.
+    Each factor V is a (env_dim * d) x d isometry whose row blocks are its
+    Kraus operators.  Gradients are d/dRe + i d/dIm.  With
+    G = Lambda^dag(log2 sigma), eigenvalues clipped at EIG_CLIP, the joint
+    Kraus operators get dS/dconj(K_t) = -2 Tr_B[G (K_t x 1) rho]; the
+    d tr(sigma) term is left out, as it vanishes along isometries.
     """
-    n = dim * env_dim * dim
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != 2 * n:
-        raise ParameterError(f"need {2 * n} parameters, got {theta.size}")
-    a = theta[:n].reshape(dim * env_dim, dim) + 1j * theta[n:].reshape(dim * env_dim, dim)
-    q, r = np.linalg.qr(a)
-    diag = np.diag(r).copy()
-    small = np.abs(diag) < 1e-12
-    diag[small] = 1.0
-    return q * (diag / np.abs(diag))
+    adjoint = adjoint_map(channel, layout)
+    da, db = layout.sender_dim, layout.receiver_dim
+    rho4 = rho.reshape(da, db, da, db)
+
+    def objective(vs):
+        factors = [v.reshape(env_dim, d, d) for v, d in zip(vs, dims)]
+        ks = _kraus(factors)
+        sigma = apply_channel(channel, _encode_with_kraus(rho, ks, layout), layout)
+        w, u = np.linalg.eigh(sigma)
+        g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))) @ u.conj().T)
+        # Tr_B[G (K x 1) rho][a, z] = sum_xc K[x, c] r[a, x, c, z]
+        r = np.tensordot(g.reshape(da, db, da, db), rho4, axes=([1, 3], [3, 1]))
+        grad = -2.0 * np.tensordot(ks, r, axes=([1, 2], [1, 2]))
+        grads = _factor_grads(grad, factors)
+        return von_neumann_entropy(sigma), [
+            gr.reshape(env_dim * d, d) for gr, d in zip(grads, dims)]
+
+    return objective
 
 
-def kraus_from_isometry(v: np.ndarray, dim: int, env_dim: int) -> tuple[np.ndarray, ...]:
-    return tuple(v[e * dim:(e + 1) * dim, :] for e in range(env_dim))
+def _on_chart(objective, v0: Sequence[np.ndarray]):
+    """(fun, point) for L-BFGS-B: point(x) holds polar(V0_j + Delta_j) with the
+    Delta_j read from x as interleaved real/imaginary pairs, and fun(x) is
+    the objective there with its exact gradient in x."""
+    splits = np.cumsum([v.size for v in v0])[:-1]
+
+    def charts(x):
+        deltas = np.split(np.asarray(x, dtype=float).view(complex), splits)
+        return [_polar_chart(v, d.reshape(v.shape)) for v, d in zip(v0, deltas)]
+
+    def fun(x):
+        cs = charts(x)
+        value, grads = objective([v for v, _ in cs])
+        return value, np.concatenate(
+            [pullback(g).ravel() for (_, pullback), g in zip(cs, grads)]).view(float)
+
+    return fun, lambda x: [v for v, _ in charts(x)]
 
 
-def _identity_isometry_params(dim: int, env_dim: int) -> np.ndarray:
-    a = np.zeros((dim * env_dim, dim), dtype=complex)
-    a[:dim, :dim] = np.eye(dim)
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
+def _gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def _isometry_params_from_unitary(u: np.ndarray, env_dim: int) -> np.ndarray:
-    dim = u.shape[0]
-    a = np.zeros((dim * env_dim, dim), dtype=complex)
-    a[:dim, :] = u
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
+def _random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Haar-distributed isometry: QR of a Gaussian matrix with R's phases fixed."""
+    q, r = np.linalg.qr(_gaussian(rng, rows, cols))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
 
 
-def _cptp_builder(layout: SubsystemLayout, mode: str, env_dim: int):
-    """(n_params, theta -> stacked Kraus array on the joint sender space).
+def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm=()):
+    """Best entropy over restarts, each one L-BFGS-B search of the polar chart
+    around a plain start point; returns (entropy, factors, trace).
 
-    The raw stack skips CptpMap validation (completeness holds by
-    construction from the orthonormalized isometry); wrap the final result
-    with ``CptpMap(tuple(stack))`` once the search is done.
+    Restart 0 starts at the identity [1; 0], restarts 1..restarts-1 at seeded
+    random isometries, and the warm points follow.  With env_dim > 1 the
+    identity and warm restarts search from polar(V0 + CPTP_KICK [0; X]), X
+    seeded from cfg.seed, and keep V0 itself as a candidate.  Ties between
+    restarts break toward the lowest restart id.
     """
-    if mode == "local":
-        dims = layout.sender_dims
-    elif mode == "global":
-        dims = (layout.sender_dim,)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-    for d in dims:
-        if not 1 <= env_dim <= d * d:
-            raise ParameterError(
-                f"env_dim {env_dim} outside [1, {d * d}] for a dim-{d} slot"
-            )
-    blocks = [2 * d * env_dim * d for d in dims]
-    n_params = sum(blocks)
-
-    def build(theta: np.ndarray) -> np.ndarray:
-        combined = None
-        offset = 0
-        for d, size in zip(dims, blocks):
-            v = isometry_from_params(theta[offset:offset + size], d, env_dim)
-            ks = kraus_from_isometry(v, d, env_dim)
-            if combined is None:
-                combined = list(ks)
-            else:
-                combined = [np.kron(a, b) for a in combined for b in ks]
-            offset += size
-        return np.stack(combined)
-
-    return n_params, build
-
-
-# ---------------------------------------------------------------------------
-# Restarted minimization
-# ---------------------------------------------------------------------------
-
-class _BestSeen:
-    """Objective wrapper recording the lowest value ever evaluated."""
-
-    def __init__(self, fn: Callable[[np.ndarray], float]):
-        self.fn = fn
-        self.best_value = np.inf
-        self.best_theta: np.ndarray | None = None
-
-    def __call__(self, theta: np.ndarray) -> float:
-        value = self.fn(theta)
-        if np.isfinite(value) and value < self.best_value:
-            self.best_value = value
-            self.best_theta = np.asarray(theta, dtype=float).copy()
-        return value
-
-
-def _minimize_restarts(
-    objective: Callable[[np.ndarray], float],
-    n_params: int,
-    cfg: OptimizerConfig,
-    warm_starts: Sequence[np.ndarray] = (),
-    identity_start: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, tuple[tuple[int, float], ...]]:
-    """Best entropy over restarts; restart 0 starts at the identity encoding.
-
-    Warm starts are appended as extra restarts after the configured random
-    ones.  Ties between restarts break toward the lowest restart id.
-    """
-    if identity_start is None:
-        identity_start = np.zeros(n_params)
-    starts: list[np.ndarray] = [np.asarray(identity_start, dtype=float)]
+    starts = [[np.eye(env_dim * d, d, dtype=complex) for d in dims]]
     for rid in range(1, cfg.restarts):
         rng = np.random.default_rng((cfg.seed, rid))
-        starts.append(rng.normal(0.0, 1.0, size=n_params))
-    starts.extend(np.asarray(w, dtype=float) for w in warm_starts)
+        starts.append([_random_isometry(rng, env_dim * d, d) for d in dims])
+    starts += warm
+    rng = np.random.default_rng(cfg.seed)
+    kick = [np.vstack([np.zeros((d, d)), CPTP_KICK * _gaussian(rng, (env_dim - 1) * d, d)])
+            for d in dims]
 
     trace: list[tuple[int, float]] = []
-    best_value = np.inf
-    best_theta: np.ndarray | None = None
-    for rid, theta0 in enumerate(starts):
-        tracker = _BestSeen(objective)
+    best_value, best = np.inf, None
+    for rid, v0 in enumerate(starts):
+        found = []
         try:
-            tracker(theta0)
-            minimize(
-                tracker,
-                theta0,
+            if env_dim > 1 and (rid == 0 or rid >= cfg.restarts):
+                found.append((objective(v0)[0], v0))
+                v0 = [_polar_chart(v, x)[0] for v, x in zip(v0, kick)]
+            fun, point = _on_chart(objective, v0)
+            result = minimize(
+                fun,
+                np.zeros(2 * sum(v.size for v in v0)),
                 method="L-BFGS-B",
-                options={
-                    "maxiter": cfg.max_iters,
-                    "eps": cfg.fd_step,
-                    "ftol": 1e-12,
-                    "gtol": 3e-7,
-                },
+                jac=True,
+                options={"maxiter": cfg.max_iters, "ftol": 1e-15, "gtol": 1e-10},
             )
-            # Simplex polish helps across the kinks of the entropy surface
-            # near degenerate spectra.
-            minimize(
-                tracker,
-                tracker.best_theta,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": min(600, 60 * n_params),
-                    "fatol": cfg.convergence_tol * 1e-2,
-                    "xatol": 1e-8,
-                },
-            )
+            found.append((float(result.fun), point(result.x)))
         except (NumericalError, FloatingPointError) as exc:
-            # Keep whatever the restart evaluated before failing.
             logger.warning("restart %d aborted: %s: %s", rid, type(exc).__name__, exc)
-        if tracker.best_theta is None or not np.isfinite(tracker.best_value):
+        if not found:
             continue
-        trace.append((rid, float(tracker.best_value)))
-        if tracker.best_value < best_value:
-            best_value = float(tracker.best_value)
-            best_theta = tracker.best_theta
-    if best_theta is None:
+        value, vs = min(found, key=lambda c: c[0])
+        trace.append((rid, value))
+        if value < best_value:
+            best_value, best = value, vs
+    if best is None:
         raise OptimizerDivergedError("no optimizer restart produced a finite entropy")
-    return best_value, best_theta, tuple(trace)
+    return best_value, best, tuple(trace)
+
+
+def _minimize_entropy(rho, channel, layout: SubsystemLayout, dims, env_dim: int, cfg):
+    """Minimize over encoders with these factors, warm-started from the
+    restricted search: CPTP from the unitary one, global from the local one."""
+    warm = []
+    if env_dim > 1:
+        _, unitary, _ = _minimize_entropy(rho, channel, layout, dims, 1, cfg)
+        warm.append([np.pad(u, ((0, (env_dim - 1) * len(u)), (0, 0))) for u in unitary])
+    elif len(dims) < layout.k:
+        _, local, _ = _minimize_entropy(rho, channel, layout, layout.sender_dims, 1, cfg)
+        warm.append([kron_all(local)])
+    objective = _entropy_objective(rho, channel, layout, dims, env_dim)
+    return _minimize_restarts(objective, dims, env_dim, cfg, warm)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +409,6 @@ def _receiver_entropy(channel, rho, layout: SubsystemLayout) -> float:
     return von_neumann_entropy(partial_trace(out, layout, {layout.receiver_slot}))
 
 
-def _entropy_objective(rho, channel, layout, build, wrap_encoder):
-    def objective(theta: np.ndarray) -> float:
-        encoded = wrap_encoder(rho, build(theta), layout)
-        return von_neumann_entropy(apply_channel(channel, encoded, layout))
-
-    return objective
-
-
 def _crosscheck(capacity, encoder, enc_set, channel, rho, layout) -> float:
     chi = holevo(attaining_ensemble(encoder, enc_set), channel, rho, layout)
     if abs(chi - capacity) > CROSSCHECK_TOL:
@@ -473,15 +418,34 @@ def _crosscheck(capacity, encoder, enc_set, channel, rho, layout) -> float:
     return chi
 
 
-def _minimize_unitary(rho, channel, layout, mode, cfg):
-    n_params, build = _unitary_builder(layout, mode)
-    objective = _entropy_objective(rho, channel, layout, build, encode_with_unitary)
-    warm: list[np.ndarray] = []
-    if mode == "global" and layout.k > 1:
-        _, _, local_theta, _ = _minimize_unitary(rho, channel, layout, "local", cfg)
-        warm.append(_lift_local_to_global(local_theta, layout))
-    entropy, theta, trace = _minimize_restarts(objective, n_params, cfg, warm)
-    return entropy, build(theta), theta, trace
+def _capacity(rho, channel, layout, mode, env_dim, cfg, as_cptp) -> CapacityReport:
+    """Certify, minimize, cross-check: the one driver behind both entries."""
+    cfg = cfg or OptimizerConfig()
+    rho = as_complex_matrix(rho, "rho")
+    dims = _factor_dims(layout, mode)
+    for d in dims:
+        if not 1 <= env_dim <= d * d:
+            raise ParameterError(
+                f"env_dim {env_dim} outside [1, {d * d}] for a dim-{d} slot"
+            )
+    enc_set = _certify(channel, layout, cfg)
+    entropy, vs, trace = _minimize_entropy(rho, channel, layout, dims, env_dim, cfg)
+    ks = _kraus([v.reshape(env_dim, d, d) for v, d in zip(vs, dims)])
+    encoder = CptpMap(tuple(ks)) if as_cptp else ks[0]
+    log_da = math.log2(layout.sender_dim)
+    s_b = _receiver_entropy(channel, rho, layout)
+    capacity = log_da + s_b - entropy
+    chi = _crosscheck(capacity, encoder, enc_set, channel, rho, layout)
+    return CapacityReport(
+        capacity_bits=capacity,
+        log_sender_dim=log_da,
+        receiver_entropy_bits=s_b,
+        min_output_entropy_bits=entropy,
+        holevo_crosscheck_bits=chi,
+        optimizer_trace=trace,
+        encoder_at_min=encoder,
+        mode=mode,
+    )
 
 
 def capacity_covariant(
@@ -497,24 +461,7 @@ def capacity_covariant(
     joint sender unitary (``global``), then assembles the capacity and
     cross-checks it against the Holevo quantity of the attaining ensemble.
     """
-    cfg = cfg or OptimizerConfig()
-    rho = as_complex_matrix(rho, "rho")
-    enc_set = _certify(channel, layout, cfg)
-    entropy, u_best, _, trace = _minimize_unitary(rho, channel, layout, mode, cfg)
-    log_da = math.log2(layout.sender_dim)
-    s_b = _receiver_entropy(channel, rho, layout)
-    capacity = log_da + s_b - entropy
-    chi = _crosscheck(capacity, u_best, enc_set, channel, rho, layout)
-    return CapacityReport(
-        capacity_bits=capacity,
-        log_sender_dim=log_da,
-        receiver_entropy_bits=s_b,
-        min_output_entropy_bits=entropy,
-        holevo_crosscheck_bits=chi,
-        optimizer_trace=trace,
-        encoder_at_min=u_best,
-        mode=mode,
-    )
+    return _capacity(rho, channel, layout, mode, 1, cfg, as_cptp=False)
 
 
 def capacity_nonunitary(
@@ -525,49 +472,13 @@ def capacity_nonunitary(
     env_dim: int = 1,
     cfg: OptimizerConfig | None = None,
 ) -> CapacityReport:
-    """Capacity over CPTP pre-processings parameterized by Stinespring
-    isometries with environment dimension ``env_dim``.
+    """Capacity over CPTP pre-processings given by Stinespring isometries
+    with environment dimension ``env_dim``.
 
-    One restart is seeded with the best unitary encoder of the matching
+    One restart is warm-started from the best unitary encoder of the matching
     unitary search, so the result never falls below the unitary capacity.
     """
-    cfg = cfg or OptimizerConfig()
-    rho = as_complex_matrix(rho, "rho")
-    enc_set = _certify(channel, layout, cfg)
-    n_params, build = _cptp_builder(layout, mode, env_dim)
-    objective = _entropy_objective(rho, channel, layout, build, _encode_with_kraus)
-
-    _, _, theta_unitary, _ = _minimize_unitary(rho, channel, layout, mode, cfg)
-    dims = layout.sender_dims if mode == "local" else (layout.sender_dim,)
-    blocks = []
-    offset = 0
-    for d in dims:
-        h = hermitian_from_params(theta_unitary[offset:offset + d * d], d)
-        blocks.append(_isometry_params_from_unitary(_expi(h), env_dim))
-        offset += d * d
-    warm = [np.concatenate(blocks)]
-    identity_start = np.concatenate(
-        [_identity_isometry_params(d, env_dim) for d in dims]
-    )
-
-    entropy, theta, trace = _minimize_restarts(
-        objective, n_params, cfg, warm, identity_start
-    )
-    gamma_best = CptpMap(tuple(build(theta)))
-    log_da = math.log2(layout.sender_dim)
-    s_b = _receiver_entropy(channel, rho, layout)
-    capacity = log_da + s_b - entropy
-    chi = _crosscheck(capacity, gamma_best, enc_set, channel, rho, layout)
-    return CapacityReport(
-        capacity_bits=capacity,
-        log_sender_dim=log_da,
-        receiver_entropy_bits=s_b,
-        min_output_entropy_bits=entropy,
-        holevo_crosscheck_bits=chi,
-        optimizer_trace=trace,
-        encoder_at_min=gamma_best,
-        mode=mode,
-    )
+    return _capacity(rho, channel, layout, mode, env_dim, cfg, as_cptp=True)
 
 
 # ---------------------------------------------------------------------------
@@ -603,27 +514,9 @@ def closed_form_ghz_fully_correlated(k: int) -> float:
     return 2.0 * k
 
 
-def apply_single_party(spec: SinglePartyPauliSpec, rho) -> np.ndarray:
-    """One use of a single-party Pauli channel on a bare d-dimensional state."""
-    rho = as_complex_matrix(rho, "rho")
-    if rho.shape != (spec.d, spec.d):
-        raise LayoutError(f"state shape {rho.shape} does not match d={spec.d}")
-    out = np.zeros_like(rho)
-    for m in range(spec.d):
-        for n in range(spec.d):
-            q = spec.q[m, n]
-            if q == 0.0:
-                continue
-            v = displacement_op(spec.d, m, n)
-            out += q * (v @ rho @ v.conj().T)
-    return out
-
-
-def closed_form_depolarizing(rho_ab, p: float, copies: int = 1) -> float:
-    """k copies of a two-slot state through uncorrelated depolarizing noise:
-    k * (log2 d + S(Lambda_b(rho_b)) - S(Lambda_ab(rho_ab)))."""
-    if copies < 1:
-        raise ParameterError(f"copies must be >= 1, got {copies}")
+def _depolarizing_pair(rho_ab, p: float):
+    """(state, layout, channel) for a two-slot state of equal local dims d
+    under depolarizing noise of strength p on both slots."""
     rho_ab = as_complex_matrix(rho_ab, "rho_ab")
     total = rho_ab.shape[0]
     d = math.isqrt(total)
@@ -631,13 +524,20 @@ def closed_form_depolarizing(rho_ab, p: float, copies: int = 1) -> float:
         raise ParameterError(
             f"state dim {total} is not a square; equal local dims required"
         )
-    layout = SubsystemLayout([d], d)
     single = depolarizing_probs(d, p)
-    channel = product_probs([single, single])
+    return rho_ab, SubsystemLayout([d], d), product_probs([single, single])
+
+
+def closed_form_depolarizing(rho_ab, p: float, copies: int = 1) -> float:
+    """k copies of a two-slot state through uncorrelated depolarizing noise:
+    k * (log2 d + S(Lambda_b(rho_b)) - S(Lambda_ab(rho_ab)))."""
+    if copies < 1:
+        raise ParameterError(f"copies must be >= 1, got {copies}")
+    rho_ab, layout, channel = _depolarizing_pair(rho_ab, p)
     s_ab = von_neumann_entropy(apply_channel(channel, rho_ab, layout))
-    rho_b = partial_trace(rho_ab, layout, {1})
-    s_b = von_neumann_entropy(apply_single_party(single, rho_b))
-    return copies * (math.log2(d) + s_b - s_ab)
+    # Tr_A of the joint output is Lambda_b(rho_b): Lambda_a preserves trace.
+    s_b = _receiver_entropy(channel, rho_ab, layout)
+    return copies * (math.log2(layout.receiver_dim) + s_b - s_ab)
 
 
 # ---------------------------------------------------------------------------
@@ -690,19 +590,12 @@ def depolarizing_invariance_check(
 ) -> float:
     """Max entropy change under random local unitaries before a depolarizing
     channel; the output entropy should not depend on them."""
-    rho_ab = as_complex_matrix(rho_ab, "rho_ab")
-    total = rho_ab.shape[0]
-    d = math.isqrt(total)
-    if d * d != total:
-        raise ParameterError(f"state dim {total} is not a square")
-    layout = SubsystemLayout([d], d)
-    single = depolarizing_probs(d, p)
-    channel = product_probs([single, single])
+    rho_ab, layout, channel = _depolarizing_pair(rho_ab, p)
     base = von_neumann_entropy(apply_channel(channel, rho_ab, layout))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        u = random_unitary(d, rng)
+        u = random_unitary(layout.sender_dim, rng)
         rotated = encode_with_unitary(rho_ab, u, layout)
         s = von_neumann_entropy(apply_channel(channel, rotated, layout))
         worst = max(worst, abs(s - base))

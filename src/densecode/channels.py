@@ -500,6 +500,25 @@ def apply_channel(channel, rho, layout: SubsystemLayout) -> np.ndarray:
     raise ChannelError(f"unsupported channel type {type(channel).__name__}")
 
 
+def adjoint_map(channel, layout: SubsystemLayout):
+    """Lambda^dag on ``layout``: the map with tr[Y Lambda(X)] = tr[Lambda^dag(Y) X].
+
+    A Pauli channel's adjoint is the Pauli channel with every label (m, n)
+    mapped to (-m, -n) mod d, since V_{-m,-n} is V_mn^dag up to a phase; a
+    Kraus map's is Y -> sum_t K_t^dag Y K_t.
+    """
+    if isinstance(channel, PauliChannelSpec):
+        negated = [[(-(l // d) % d) * d + (-(l % d) % d) for l in range(d * d)]
+                   for d in channel.party_dims]
+        spec = PauliChannelSpec(
+            channel.party_dims, channel.joint[np.ix_(*negated)], channel.acts_on)
+        return lambda y: apply_pauli(spec, y, layout)
+    if isinstance(channel, CptpMap):
+        ks = np.stack(channel.kraus)
+        return lambda y: (ks.conj().transpose(0, 2, 1) @ y @ ks).sum(axis=0)
+    raise ChannelError(f"unsupported channel type {type(channel).__name__}")
+
+
 def verify_covariance(
     spec,
     enc_set,

@@ -141,15 +141,13 @@ def _optimizer_config(cfg: dict, seed: int) -> OptimizerConfig:
     opt = cfg.get("optimizer", {})
     if not isinstance(opt, dict):
         raise ConfigError("optimizer: expected an object")
-    known = {"restarts", "max_iters", "convergence_tol", "fd_step", "seed"}
+    known = {"restarts", "max_iters", "seed"}
     unknown = set(opt) - known
     if unknown:
         raise ConfigError(f"optimizer: unknown fields {sorted(unknown)}")
     return OptimizerConfig(
         restarts=int(opt.get("restarts", 16)),
         max_iters=int(opt.get("max_iters", 200)),
-        convergence_tol=float(opt.get("convergence_tol", 1e-8)),
-        fd_step=float(opt.get("fd_step", 1e-5)),
         seed=int(opt.get("seed", seed)),
     )
 

@@ -3,12 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densecode.capacity import (
     EncodingEnsemble,
     OptimizerConfig,
+    _entropy_objective,
+    _factor_dims,
     _minimize_restarts,
-    apply_single_party,
+    _on_chart,
+    _polar_chart,
+    _random_isometry,
     attaining_ensemble,
     capacity_covariant,
     capacity_nonunitary,
@@ -18,11 +24,8 @@ from densecode.capacity import (
     closed_form_ghz_fully_correlated,
     depolarizing_invariance_check,
     encode_with_unitary,
-    hermitian_from_params,
     holevo,
-    isometry_from_params,
     lemma2_orthogonality_check,
-    params_from_hermitian,
 )
 from densecode.channels import (
     CorrelationSpec,
@@ -32,6 +35,7 @@ from densecode.channels import (
     correlated_probs,
     depolarizing_probs,
     fully_correlated_probs,
+    pauli_kraus,
     product_probs,
 )
 from densecode.displacement import local_encoding_set
@@ -45,7 +49,6 @@ from densecode.linalg import (
     SubsystemLayout,
     partial_trace,
     random_density_matrix,
-    random_hermitian,
     random_unitary,
     von_neumann_entropy,
 )
@@ -165,29 +168,60 @@ class TestAttainingEnsemble:
         assert np.abs(average - np.kron(np.eye(2) / 2, out_b)).max() < 1e-10
 
 
-class TestParameterizations:
-    def test_hermitian_round_trip(self):
-        rng = np.random.default_rng(42)
-        for d in (2, 3, 4):
-            h = random_hermitian(d, rng)
-            back = hermitian_from_params(params_from_hermitian(h), d)
-            assert np.abs(h - back).max() < 1e-14
+def central_difference_gradient(fun, x, h=1e-6):
+    """Central differences of ``fun`` in every coordinate: the oracle for the
+    exact gradient."""
+    steps = h * np.eye(len(x))
+    return np.array([(fun(x + e)[0] - fun(x - e)[0]) / (2 * h) for e in steps])
 
-    def test_isometry_orthonormal(self):
+
+@st.composite
+def chart_problems(draw):
+    """(layout, factor dims, env_dim, rho, Pauli spec, chart start, chart point).
+
+    Qubit or qutrit senders, local or global factors, environments of
+    dimension 1 to 3, a correlated Pauli channel with full support on every
+    slot, random isometries as the chart base and a random offset from it.
+    """
+    sender_dims, receiver = draw(st.sampled_from([((2,), 2), ((2, 2), 2), ((3,), 3)]))
+    layout = SubsystemLayout(sender_dims, receiver)
+    dims = _factor_dims(layout, draw(st.sampled_from(["local", "global"])))
+    env = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parties = len(layout.dims)
+    mu = np.zeros((parties, parties))
+    mu[np.triu_indices(parties, 1)] = rng.random(parties * (parties - 1) // 2)
+    spec = correlated_probs([random_single(receiver, rng) for _ in range(parties)],
+                            CorrelationSpec(mu + mu.T))
+    v0 = [_random_isometry(rng, env * d, d) for d in dims]
+    x = 0.1 * rng.standard_normal(2 * sum(v.size for v in v0))
+    return layout, dims, env, random_density_matrix(layout.total_dim, rng), spec, v0, x
+
+
+class TestEntropyGradient:
+    @settings(max_examples=30, deadline=None)
+    @given(chart_problems())
+    def test_matches_central_differences(self, problem):
+        layout, dims, env, rho, spec, v0, x = problem
+        grads = []
+        for channel in (spec, pauli_kraus(spec)):
+            fun, _ = _on_chart(_entropy_objective(rho, channel, layout, dims, env), v0)
+            _, grad = fun(x)
+            assert np.abs(grad - central_difference_gradient(fun, x)).max() < 1e-6
+            grads.append(grad)
+        assert np.abs(grads[0] - grads[1]).max() < 1e-10
+
+
+class TestPolarChart:
+    def test_chart_is_column_orthonormal(self):
         rng = np.random.default_rng(43)
-        for d, env in ((2, 1), (2, 3), (3, 2)):
-            theta = rng.normal(size=2 * d * env * d)
-            v = isometry_from_params(theta, d, env)
-            assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
-
-    def test_isometry_identity_on_orthonormal_input(self):
-        rng = np.random.default_rng(44)
-        u = random_unitary(3, rng)
-        a = np.zeros((6, 3), dtype=complex)
-        a[:3] = u
-        theta = np.concatenate([a.real.ravel(), a.imag.ravel()])
-        v = isometry_from_params(theta, 3, 2)
-        assert np.abs(v - a).max() < 1e-12
+        for d, env in ((2, 1), (2, 3), (3, 2), (3, 1)):
+            for _ in range(20):
+                shape = (d * env, d)
+                v0 = _random_isometry(rng, *shape)
+                delta = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                v, _ = _polar_chart(v0, delta)
+                assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
 
 
 class TestCapacityCovariant:
@@ -253,17 +287,17 @@ class TestCapacityCovariant:
             OptimizerConfig(restarts=0)
 
     def test_aborted_restart_is_logged(self, caplog):
-        # Restart 0 starts at zero and its first L-BFGS-B step has entries of
-        # 1/sqrt(3); restart 1 starts at a seeded normal draw with an entry
-        # of 1.046, where the objective raises.
-        def objective(theta):
-            if np.abs(theta).max() > 1.0:
+        # Restart 0 starts at the identity, where this objective is zero and
+        # flat; restart 1 starts at a seeded random unitary, where it raises.
+        def objective(vs):
+            dev = vs[0] - np.eye(3)
+            if np.abs(dev).max() > 0.5:
                 raise NumericalError("channel failed to preserve trace by 1.000e-03")
-            return float(np.sum(theta**2))
+            return float(np.sum(np.abs(dev) ** 2)), [2.0 * dev]
 
         cfg = OptimizerConfig(restarts=2, max_iters=20, seed=42)
         with caplog.at_level(logging.WARNING, logger="densecode"):
-            value, _, trace = _minimize_restarts(objective, 3, cfg)
+            value, _, trace = _minimize_restarts(objective, (3,), 1, cfg)
         assert value == 0.0 and trace == ((0, 0.0),)
         assert [(r.name, r.levelno) for r in caplog.records] == [
             ("densecode", logging.WARNING)]
@@ -300,7 +334,7 @@ class TestCapacityNonunitary:
             bell_diagonal(weights), chan, layout, "local", env_dim=2, cfg=QUICK
         )
         closed = closed_form_bd_fully_correlated(1, weights)
-        assert abs(report.capacity_bits - closed) < 1e-4
+        assert abs(report.capacity_bits - closed) < 1e-6
 
     def test_env_dim_range_checked(self):
         layout = SubsystemLayout([2], 2)
@@ -362,12 +396,6 @@ class TestClosedForms:
         for p in (0.25, 0.5):
             got = closed_form_depolarizing(bell_state(2), p)
             assert abs(got - bell_depolarized_capacity_oracle(p)) < 1e-12
-
-    def test_single_party_application(self):
-        spec = depolarizing_probs(2, 1.0)
-        rho = np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex)
-        out = apply_single_party(spec, rho)
-        assert np.abs(out - np.eye(2) / 2).max() < 1e-14
 
 
 class TestCertificationHelpers:

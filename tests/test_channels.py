@@ -14,6 +14,8 @@ from densecode.channels import (
     CptpMap,
     PauliChannelSpec,
     SinglePartyPauliSpec,
+    adjoint_map,
+    apply_channel,
     apply_cptp,
     apply_pauli,
     channel_from_json,
@@ -33,7 +35,12 @@ from densecode.errors import (
     ParameterError,
     ProbabilityError,
 )
-from densecode.linalg import SubsystemLayout, kron_all, random_density_matrix
+from densecode.linalg import (
+    SubsystemLayout,
+    kron_all,
+    random_density_matrix,
+    random_hermitian,
+)
 from densecode.states import bell_diagonal, bell_state
 
 
@@ -485,6 +492,41 @@ class TestCptp:
         op = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         embedded = embed_operator(op, [1], layout)
         assert np.abs(embedded - np.kron(np.eye(2), op)).max() < 1e-13
+
+
+class TestAdjoint:
+    @staticmethod
+    def adjoint_gap(channel, layout, rng):
+        """|tr[Y Lambda(X)] - tr[Lambda^dag(Y) X]| for a random state X and
+        a random Hermitian Y."""
+        x = random_density_matrix(layout.total_dim, rng)
+        y = random_hermitian(layout.total_dim, rng)
+        lhs = np.trace(y @ apply_channel(channel, x, layout))
+        return abs(lhs - np.trace(adjoint_map(channel, layout)(y) @ x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([((3,), 3), ((3, 3), 3), ((3,), 9)]),
+           st.integers(0, 2**32 - 1))
+    def test_qutrit_pauli_specs(self, slots, seed):
+        sender_dims, receiver = slots
+        parties = len(sender_dims) + (2 if receiver == 9 else 1)
+        acts_on = tuple(range(len(sender_dims))) + (len(sender_dims),) * (
+            parties - len(sender_dims))
+        spec, layout, _ = channel_case(
+            (3,) * parties, acts_on, list(sender_dims) + [receiver], seed)
+        assert self.adjoint_gap(spec, layout, np.random.default_rng(seed)) < 1e-12
+
+    def test_cptp_maps(self):
+        # Amplitude damping on the sender is not unital, so its adjoint is
+        # not a CptpMap itself.
+        gamma = 0.3
+        k0 = np.diag([1.0, math.sqrt(1 - gamma)])
+        k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])
+        damping = CptpMap((np.kron(k0, np.eye(3)), np.kron(k1, np.eye(3))))
+        rng = np.random.default_rng(16)
+        assert self.adjoint_gap(damping, SubsystemLayout([2], 3), rng) < 1e-12
+        spec, layout, _ = channel_case((3, 3), (0, 1), [3, 3], 17)
+        assert self.adjoint_gap(pauli_kraus(spec), layout, rng) < 1e-12
 
 
 class TestCovariance:

@@ -106,6 +106,13 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="channel.*missing.*'q'"):
             run_scenario({"scenario": "ghz-full", "state": {"copies": 1}, "channel": {}})
 
+    @pytest.mark.parametrize("field", ["convergence_tol", "fd_step"])
+    def test_removed_optimizer_field_named_in_error(self, field):
+        cfg = bell_correlated_config(0.5)
+        cfg["optimizer"] = {**QUICK_OPT, field: 1e-5}
+        with pytest.raises(ConfigError, match=f"optimizer: unknown fields.*'{field}'"):
+            run_scenario(cfg)
+
 
 class TestSweep:
     def test_depolarizing_sweep_monotone(self):
