@@ -212,8 +212,20 @@ class TestEntropyGradient:
         assert np.abs(grads[0] - grads[1]).max() < 1e-10
 
 
-class TestPolarChart:
-    def test_chart_is_column_orthonormal(self):
+class TestParameterizations:
+    """The polar chart V = polar(V0 + Delta) that encoders are searched on."""
+
+    def test_hermitian_round_trip(self):
+        # Every isometry W is reached from any centre V0 at Delta = W - V0.
+        rng = np.random.default_rng(42)
+        for d, env in ((2, 1), (3, 1), (4, 1), (2, 3)):
+            shape = (d * env, d)
+            v0 = _random_isometry(rng, *shape)
+            w = _random_isometry(rng, *shape)
+            v, _ = _polar_chart(v0, w - v0)
+            assert np.abs(v - w).max() < 1e-12
+
+    def test_isometry_orthonormal(self):
         rng = np.random.default_rng(43)
         for d, env in ((2, 1), (2, 3), (3, 2), (3, 1)):
             for _ in range(20):
@@ -222,6 +234,14 @@ class TestPolarChart:
                 delta = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 v, _ = _polar_chart(v0, delta)
                 assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
+
+    def test_isometry_identity_on_orthonormal_input(self):
+        rng = np.random.default_rng(44)
+        u = random_unitary(3, rng)
+        a = np.zeros((6, 3), dtype=complex)
+        a[:3] = u
+        v, _ = _polar_chart(a, np.zeros_like(a))
+        assert np.abs(v - a).max() < 1e-12
 
 
 class TestCapacityCovariant:
