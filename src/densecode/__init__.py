@@ -31,7 +31,6 @@ from .channels import (
     channel_to_json,
     correlated_probs,
     depolarizing_probs,
-    embed_operator,
     fully_correlated_probs,
     pauli_kraus,
     product_probs,
@@ -59,8 +58,6 @@ from .errors import (
 from .linalg import (
     SubsystemLayout,
     dimension_cap,
-    herm_expm,
-    hermitian_eig,
     kron,
     kron_all,
     partial_trace,

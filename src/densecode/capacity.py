@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +40,6 @@ from .channels import (
 )
 from .displacement import LocalEncodingSet, local_encoding_set
 from .errors import (
-    LayoutError,
     NonCovariantChannelError,
     NumericalError,
     OptimizerDivergedError,
@@ -51,9 +49,12 @@ from .errors import (
 from .linalg import (
     EIG_CLIP,
     SubsystemLayout,
+    _conjugate_leading,
     as_complex_matrix,
+    complex_gaussian,
     kron_all,
     partial_trace,
+    random_isometry,
     random_unitary,
     shannon_entropy,
     von_neumann_entropy,
@@ -126,43 +127,21 @@ class CapacityReport:
 
 
 def encode_with_unitary(rho, u, layout: SubsystemLayout) -> np.ndarray:
-    full = np.kron(u, np.eye(layout.receiver_dim, dtype=complex))
-    return full @ rho @ full.conj().T
-
-
-@lru_cache(maxsize=64)
-def _cached_eye(dim: int) -> np.ndarray:
-    eye = np.eye(dim, dtype=complex)
-    eye.setflags(write=False)
-    return eye
+    return _conjugate_leading(rho, np.asarray(u)[None], layout.sender_dim)
 
 
 def _encode_with_kraus(rho, ks: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
-    total = layout.total_dim
-    full = np.einsum(
-        "tij,ab->tiajb", ks, _cached_eye(layout.receiver_dim)
-    ).reshape(len(ks), total, total)
-    rotated = full @ rho
-    return np.einsum("tik,tjk->ij", rotated, full.conj())
-
-
-def encode_with_cptp(rho, cptp: CptpMap, layout: SubsystemLayout) -> np.ndarray:
-    return _encode_with_kraus(rho, np.stack(cptp.kraus), layout)
+    return _conjugate_leading(rho, ks, layout.sender_dim)
 
 
 def _encode(rho, encoder, layout: SubsystemLayout) -> np.ndarray:
+    """Encode by a unitary or a CptpMap on the sender slots; an encoder whose
+    operators are not sender_dim x sender_dim raises LayoutError."""
     if isinstance(encoder, CptpMap):
-        if encoder.in_dim != layout.sender_dim:
-            raise LayoutError(
-                f"encoder acts on dim {encoder.in_dim}, senders have {layout.sender_dim}"
-            )
-        return encode_with_cptp(rho, encoder, layout)
-    u = as_complex_matrix(encoder, "encoder")
-    if u.shape != (layout.sender_dim, layout.sender_dim):
-        raise LayoutError(
-            f"encoder shape {u.shape} does not match sender dim {layout.sender_dim}"
-        )
-    return encode_with_unitary(rho, u, layout)
+        ks = np.stack(encoder.kraus)
+    else:
+        ks = as_complex_matrix(encoder, "encoder")[None]
+    return _encode_with_kraus(rho, ks, layout)
 
 
 def holevo(
@@ -317,16 +296,6 @@ def _on_chart(objective, v0: Sequence[np.ndarray]):
     return fun, lambda x: [v for v, _ in charts(x)]
 
 
-def _gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def _random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Haar-distributed isometry: QR of a Gaussian matrix with R's phases fixed."""
-    q, r = np.linalg.qr(_gaussian(rng, rows, cols))
-    return q * (r.diagonal() / np.abs(r.diagonal()))
-
-
 def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm=()):
     """Best entropy over restarts, each one L-BFGS-B search of the polar chart
     around a plain start point; returns (entropy, factors, trace).
@@ -340,10 +309,11 @@ def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm
     starts = [[np.eye(env_dim * d, d, dtype=complex) for d in dims]]
     for rid in range(1, cfg.restarts):
         rng = np.random.default_rng((cfg.seed, rid))
-        starts.append([_random_isometry(rng, env_dim * d, d) for d in dims])
+        starts.append([random_isometry(env_dim * d, d, rng) for d in dims])
     starts += warm
     rng = np.random.default_rng(cfg.seed)
-    kick = [np.vstack([np.zeros((d, d)), CPTP_KICK * _gaussian(rng, (env_dim - 1) * d, d)])
+    kick = [np.vstack([np.zeros((d, d)),
+                       CPTP_KICK * complex_gaussian((env_dim - 1) * d, d, rng)])
             for d in dims]
 
     trace: list[tuple[int, float]] = []

@@ -15,6 +15,11 @@ sums the terms: it gathers the shifted diagonals of the state, multiplies by
 the eigenvalues between two products with the group Fourier matrix, and
 scatters back.  The kernel for one channel and layout is four D x D arrays,
 O(D^2) memory whatever the number of terms.
+
+Kraus maps, their adjoints and the covariance check conjugate through
+``linalg._conjugate_leading``, which applies a stack of operators to the
+leading factor of a state without forming K x 1; ``apply_cptp`` permutes
+its slots to the front and back around it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .errors import (
 )
 from .linalg import (
     SubsystemLayout,
+    _conjugate_leading,
     as_complex_matrix,
     kron_all,
     permute_slots,
@@ -439,38 +445,20 @@ def apply_pauli(
     return out.reshape(total, total)
 
 
-def embed_operator(op, slots: Sequence[int], layout: SubsystemLayout) -> np.ndarray:
-    """Extend an operator on the given slots by identity on the rest."""
-    dims = layout.dims
-    n = len(dims)
-    slots = [int(s) for s in slots]
-    if len(set(slots)) != len(slots):
-        raise LayoutError(f"duplicate slots in {slots}")
-    if any(not 0 <= s < n for s in slots):
-        raise LayoutError(f"slots {slots} out of range for {n} slots")
-    op = as_complex_matrix(op, "op")
-    sel_dim = math.prod(dims[s] for s in slots)
-    if op.shape != (sel_dim, sel_dim):
-        raise LayoutError(f"operator shape {op.shape} does not match slots {slots}")
-    rest = [s for s in range(n) if s not in slots]
-    rest_dim = math.prod(dims[s] for s in rest) if rest else 1
-    big = np.kron(op, np.eye(rest_dim, dtype=complex))
-    current = slots + rest  # slot order big currently acts in
-    perm = [current.index(s) for s in range(n)]
-    return permute_slots(big, [dims[s] for s in current], perm)
-
-
 def apply_cptp(
     cptp: CptpMap, rho, slots: Sequence[int], layout: SubsystemLayout
 ) -> np.ndarray:
-    """Apply a Kraus map on the chosen slots, identity elsewhere."""
+    """Apply a Kraus map on the chosen slots (in the map's slot order),
+    identity elsewhere: permute those slots to the front, conjugate the
+    leading factor, permute back."""
     rho = as_complex_matrix(rho, "rho")
-    if cptp.in_dim != cptp.out_dim:
-        raise LayoutError("embedded Kraus maps must preserve the slot dimension")
-    out = np.zeros_like(rho)
-    for k in cptp.kraus:
-        full = embed_operator(k, slots, layout)
-        out += full @ rho @ full.conj().T
+    dims = layout.dims
+    slots = [int(s) for s in slots]
+    perm = slots + [s for s in range(len(dims)) if s not in slots]
+    front = permute_slots(rho, dims, perm)
+    moved = [dims[s] for s in perm]
+    out = _conjugate_leading(front, np.stack(cptp.kraus), math.prod(moved[:len(slots)]))
+    out = permute_slots(out, moved, [perm.index(s) for s in range(len(dims))])
     trace_dev = abs(out.trace() - rho.trace())
     if trace_dev > 1e-9:
         raise NumericalError(f"CPTP map failed to preserve trace by {trace_dev:.3e}")
@@ -514,8 +502,8 @@ def adjoint_map(channel, layout: SubsystemLayout):
             channel.party_dims, channel.joint[np.ix_(*negated)], channel.acts_on)
         return lambda y: apply_pauli(spec, y, layout)
     if isinstance(channel, CptpMap):
-        ks = np.stack(channel.kraus)
-        return lambda y: (ks.conj().transpose(0, 2, 1) @ y @ ks).sum(axis=0)
+        daggers = np.stack(channel.kraus).conj().transpose(0, 2, 1)
+        return lambda y: _conjugate_leading(y, daggers, layout.total_dim)
     raise ChannelError(f"unsupported channel type {type(channel).__name__}")
 
 
@@ -533,15 +521,14 @@ def verify_covariance(
     Pauli spec or any full-space CPTP map.
     """
     rng = np.random.default_rng(seed)
-    eye_b = np.eye(layout.receiver_dim, dtype=complex)
     worst = 0.0
     for _ in range(trials):
         rho = random_density_matrix(layout.total_dim, rng)
         out = apply_channel(spec, rho, layout)
         for v in enc_set.operators:
-            v_full = np.kron(v, eye_b)
-            lhs = apply_channel(spec, v_full @ rho @ v_full.conj().T, layout)
-            rhs = v_full @ out @ v_full.conj().T
+            v = v[None]
+            lhs = apply_channel(spec, _conjugate_leading(rho, v, layout.sender_dim), layout)
+            rhs = _conjugate_leading(out, v, layout.sender_dim)
             worst = max(worst, np.abs(lhs - rhs).max())
     return worst
 

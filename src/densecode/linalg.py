@@ -1,5 +1,5 @@
 """Dense complex linear algebra: Kronecker products, partial traces,
-Hermitian eigenproblems and entropy functionals.
+conjugation by operators on the leading factor and entropy functionals.
 
 All capacities downstream are in bits, so every entropy here uses log base 2.
 Matrices are plain complex ``numpy`` arrays; states are validated with
@@ -193,16 +193,6 @@ def permute_slots(rho, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     return tensor.transpose(axes).reshape(total, total)
 
 
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, real) and eigenvectors of a Hermitian matrix."""
-    m = as_complex_matrix(m, "m")
-    dev = np.abs(m - m.conj().T).max()
-    if dev > 1e-8:
-        raise NumericalError(f"hermitian_eig: input deviates from Hermitian by {dev:.3e}")
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def _entropy_from_eigenvalues(w: np.ndarray) -> float:
     if w.min() < -PSD_TOL:
         raise NumericalError(
@@ -233,33 +223,51 @@ def shannon_entropy(p) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def herm_expm(h) -> np.ndarray:
-    """Unitary exp(iH) of a Hermitian generator, via eigendecomposition."""
-    h = as_complex_matrix(h, "h")
-    dev = np.abs(h - h.conj().T).max()
-    if dev > 1e-8:
-        raise NumericalError(f"herm_expm: generator deviates from Hermitian by {dev:.3e}")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+def _conjugate_leading(rho, ks, a: int) -> np.ndarray:
+    """sum_t (K_t x 1) rho (K_t x 1)^dag for a (T, a, a) stack of operators on
+    the leading factor, of dimension ``a``, of ``rho``.
+
+    With rho read as (a, b, a, b), the left factor is one matmul on the
+    (a, b*a*b) view and the right one a batched matmul on the (a*b, a, b)
+    view of the result; K x 1 is never formed and nothing is transposed.
+    """
+    n = rho.shape[0]
+    if ks.ndim != 3 or ks.shape[1:] != (a, a) or n % a:
+        raise LayoutError(
+            f"operator stack of shape {ks.shape} does not act on a leading "
+            f"factor of dimension {a} of a dimension-{n} state"
+        )
+    b = n // a
+    left = ks @ rho.reshape(a, n * b)
+    right = ks.conj()[:, None] @ left.reshape(len(ks), n, a, b)
+    return right.sum(axis=0).reshape(n, n)
 
 
-# Seeded random fixtures shared by certification routines and tests.
+# Seeded random fixtures shared by certification routines, the optimizer's
+# start points and tests.
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2
+def complex_gaussian(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Independent standard normal real and imaginary parts, real drawn first."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed isometry: QR of a Gaussian matrix with R's phases fixed."""
+    q, r = np.linalg.qr(complex_gaussian(rows, cols, rng))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary from a QR decomposition with phase fixing."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    """Haar-distributed unitary: the square case of ``random_isometry``."""
+    return random_isometry(dim, dim, rng)
+
+
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = complex_gaussian(dim, dim, rng)
+    return (g + g.conj().T) / 2
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = complex_gaussian(dim, dim, rng)
     rho = g @ g.conj().T
     return rho / rho.trace()

@@ -14,7 +14,6 @@ from densecode.capacity import (
     _minimize_restarts,
     _on_chart,
     _polar_chart,
-    _random_isometry,
     attaining_ensemble,
     capacity_covariant,
     capacity_nonunitary,
@@ -40,6 +39,7 @@ from densecode.channels import (
 )
 from densecode.displacement import local_encoding_set
 from densecode.errors import (
+    LayoutError,
     NonCovariantChannelError,
     NumericalError,
     ParameterError,
@@ -49,6 +49,7 @@ from densecode.linalg import (
     SubsystemLayout,
     partial_trace,
     random_density_matrix,
+    random_isometry,
     random_unitary,
     von_neumann_entropy,
 )
@@ -123,6 +124,16 @@ class TestHolevo:
             chi = holevo(EncodingEnsemble(tuple(members)), chan, bell_state(2), layout)
             assert chi <= report.capacity_bits + 1e-6
 
+    def test_encoder_shape_checked(self):
+        # A 3x2 isometry is a CPTP map from dimension 2 to 3; neither it nor
+        # a 4x4 unitary encodes a qubit sender.
+        layout = SubsystemLayout([2], 2)
+        iso = random_isometry(3, 2, np.random.default_rng(45))
+        for encoder in (CptpMap((iso,)), np.eye(4)):
+            ens = EncodingEnsemble(((1.0, encoder),))
+            with pytest.raises(LayoutError):
+                holevo(ens, identity_channel(layout), bell_state(2), layout)
+
     def test_ensemble_validation(self):
         with pytest.raises(ProbabilityError):
             EncodingEnsemble(((0.7, np.eye(2)),))
@@ -193,7 +204,7 @@ def chart_problems(draw):
     mu[np.triu_indices(parties, 1)] = rng.random(parties * (parties - 1) // 2)
     spec = correlated_probs([random_single(receiver, rng) for _ in range(parties)],
                             CorrelationSpec(mu + mu.T))
-    v0 = [_random_isometry(rng, env * d, d) for d in dims]
+    v0 = [random_isometry(env * d, d, rng) for d in dims]
     x = 0.1 * rng.standard_normal(2 * sum(v.size for v in v0))
     return layout, dims, env, random_density_matrix(layout.total_dim, rng), spec, v0, x
 
@@ -220,8 +231,8 @@ class TestParameterizations:
         rng = np.random.default_rng(42)
         for d, env in ((2, 1), (3, 1), (4, 1), (2, 3)):
             shape = (d * env, d)
-            v0 = _random_isometry(rng, *shape)
-            w = _random_isometry(rng, *shape)
+            v0 = random_isometry(*shape, rng)
+            w = random_isometry(*shape, rng)
             v, _ = _polar_chart(v0, w - v0)
             assert np.abs(v - w).max() < 1e-12
 
@@ -230,7 +241,7 @@ class TestParameterizations:
         for d, env in ((2, 1), (2, 3), (3, 2), (3, 1)):
             for _ in range(20):
                 shape = (d * env, d)
-                v0 = _random_isometry(rng, *shape)
+                v0 = random_isometry(*shape, rng)
                 delta = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 v, _ = _polar_chart(v0, delta)
                 assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12

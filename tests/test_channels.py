@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from densecode.capacity import _encode_with_kraus
 from densecode.channels import (
     CorrelationSpec,
     CptpMap,
@@ -22,7 +23,6 @@ from densecode.channels import (
     channel_to_json,
     correlated_probs,
     depolarizing_probs,
-    embed_operator,
     fully_correlated_probs,
     pauli_kraus,
     product_probs,
@@ -38,8 +38,10 @@ from densecode.errors import (
 from densecode.linalg import (
     SubsystemLayout,
     kron_all,
+    permute_slots,
     random_density_matrix,
     random_hermitian,
+    random_isometry,
 )
 from densecode.states import bell_diagonal, bell_state
 
@@ -193,6 +195,43 @@ def pauli_channels_on_layouts(draw):
         draw(st.integers(0, 2**32 - 1)),
         None if dense else min(size, draw(st.integers(1, 6))),
     )
+
+
+def embed_loop_oracle(ks, rho, slots, layout):
+    """sum_t K_t rho K_t^dag with each K_t extended by np.kron with the
+    identity on the other slots and permuted into layout order: one
+    full-space conjugation per Kraus operator."""
+    dims = layout.dims
+    current = list(slots) + [s for s in range(len(dims)) if s not in slots]
+    perm = [current.index(s) for s in range(len(dims))]
+    eye = np.eye(math.prod(dims[s] for s in current[len(slots):]))
+    out = np.zeros_like(rho)
+    for k in ks:
+        full = permute_slots(np.kron(k, eye), [dims[s] for s in current], perm)
+        out += full @ rho @ full.conj().T
+    return out
+
+
+@st.composite
+def kraus_cases(draw):
+    """(sender dims, receiver dim, slots, Kraus count, seed): one to three
+    sender slots of dimension 2 or 3, a receiver of dimension 2 to 4, and a
+    nonempty subset of the slots in any order."""
+    sender_dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3)))
+    receiver = draw(st.integers(2, 4))
+    slots = draw(st.permutations(range(len(sender_dims) + 1)))
+    slots = tuple(slots[:draw(st.integers(1, len(slots)))])
+    return sender_dims, receiver, slots, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+def build_kraus_case(sender_dims, receiver, slots, terms, seed):
+    """(layout, slots, Kraus stack, state): the stack is ``terms`` square
+    blocks cut from one random isometry on the chosen slots."""
+    rng = np.random.default_rng(seed)
+    layout = SubsystemLayout(sender_dims, receiver)
+    dim = math.prod(layout.dims[s] for s in slots)
+    ks = random_isometry(terms * dim, dim, rng).reshape(terms, dim, dim)
+    return layout, list(slots), ks, random_density_matrix(layout.total_dim, rng)
 
 
 class TestCorrelatedProbs:
@@ -479,19 +518,35 @@ class TestCptp:
         with pytest.raises(ChannelError):
             CptpMap((np.eye(2) * 0.5,))
 
-    def test_embed_operator_matches_kron_for_leading_slots(self):
+    def test_bad_slots_rejected(self):
         layout = SubsystemLayout([2, 3], 2)
-        rng = np.random.default_rng(14)
-        op = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        embedded = embed_operator(op, [0, 1], layout)
-        assert np.abs(embedded - np.kron(op, np.eye(2))).max() < 1e-13
+        rho = random_density_matrix(layout.total_dim, np.random.default_rng(14))
+        qubit = CptpMap((np.eye(2),))
+        for cptp, slots in ((qubit, [0, 0]), (qubit, [3]), (qubit, [1]),
+                            (CptpMap((np.eye(6)[:, :2],)), [0])):
+            with pytest.raises(LayoutError):
+                apply_cptp(cptp, rho, slots, layout)
 
-    def test_embed_operator_trailing_slot(self):
-        layout = SubsystemLayout([2], 3)
-        rng = np.random.default_rng(15)
-        op = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        embedded = embed_operator(op, [1], layout)
-        assert np.abs(embedded - np.kron(np.eye(2), op)).max() < 1e-13
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_cases())
+    @example(((2, 3, 2), 4, (3,), 2, 0))        # the receiver alone
+    @example(((2, 3), 2, (2, 0, 1), 4, 1))      # every slot, out of order
+    @example(((3, 2, 2), 3, (2, 0), 3, 2))      # non-contiguous senders
+    def test_matches_embed_loop(self, case):
+        layout, slots, ks, rho = build_kraus_case(*case)
+        want = embed_loop_oracle(ks, rho, slots, layout)
+        got = apply_cptp(CptpMap(tuple(ks)), rho, slots, layout)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(kraus_cases())
+    def test_encode_with_kraus_matches_kron_sum(self, case):
+        sender_dims, receiver, _, terms, seed = case
+        layout, _, ks, rho = build_kraus_case(
+            sender_dims, receiver, range(len(sender_dims)), terms, seed)
+        eye = np.eye(layout.receiver_dim)
+        want = sum(np.kron(k, eye) @ rho @ np.kron(k, eye).conj().T for k in ks)
+        assert np.abs(_encode_with_kraus(rho, ks, layout) - want).max() <= 1e-12
 
 
 class TestAdjoint:

@@ -12,13 +12,10 @@ from densecode.errors import (
 from densecode.linalg import (
     SubsystemLayout,
     dimension_cap,
-    herm_expm,
-    hermitian_eig,
     kron,
     partial_trace,
     permute_slots,
     random_density_matrix,
-    random_hermitian,
     random_unitary,
     shannon_entropy,
     validate_density_matrix,
@@ -27,7 +24,6 @@ from densecode.linalg import (
 from densecode.states import bell_state, ghz_state
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def shannon_oracle(ps):
@@ -143,31 +139,6 @@ class TestPartialTrace:
             partial_trace(bell_state(2), layout, {5})
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        w, _ = hermitian_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(w, [3.0, 1.0])
-
-    def test_pauli_spectrum(self):
-        w, _ = hermitian_eig(SIGMA_1)
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_two_level_closed_form(self):
-        w, _ = hermitian_eig(np.eye(2) / 2 + 0.3 * SIGMA_3)
-        assert np.abs(np.asarray(w) - [0.8, 0.2]).max() < 1e-14
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(7)
-        m = random_hermitian(9, rng)
-        w, v = hermitian_eig(m)
-        assert np.abs(m - (v * w) @ v.conj().T).max() <= 1e-10 * np.abs(m).max()
-        assert np.all(np.diff(w) <= 1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NumericalError):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestEntropies:
     def test_pure_state_zero(self):
         assert von_neumann_entropy(bell_state(2)) < 1e-12
@@ -217,31 +188,6 @@ class TestEntropies:
     def test_indefinite_operator_rejected(self):
         with pytest.raises(NumericalError):
             von_neumann_entropy(np.diag([1.5, -0.5]))
-
-
-class TestHermExpm:
-    def test_zero_generator(self):
-        assert np.abs(herm_expm(np.zeros((3, 3))) - np.eye(3)).max() < 1e-14
-
-    def test_pi_half_sigma1(self):
-        # closed form: exp(i a sigma_1) = cos(a) I + i sin(a) sigma_1
-        got = herm_expm(np.pi / 2 * SIGMA_1)
-        assert np.abs(got - 1j * SIGMA_1).max() < 1e-14
-
-    def test_diagonal_phase(self):
-        theta = 0.7
-        got = herm_expm(np.diag([theta, 0.0]))
-        assert np.abs(got - np.diag([np.exp(1j * theta), 1.0])).max() < 1e-14
-
-    def test_output_unitary(self):
-        rng = np.random.default_rng(23)
-        for dim in (2, 5, 8):
-            u = herm_expm(random_hermitian(dim, rng))
-            assert np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NumericalError):
-            herm_expm(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestValidation:
