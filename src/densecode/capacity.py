@@ -12,7 +12,12 @@ isometry per sender in ``local`` mode or one joint factor in ``global`` mode,
 whose row blocks are Stinespring Kraus operators; a unitary is the case
 env_dim = 1.  Each restart runs scipy's L-BFGS-B on the chart
 V = polar(V0 + Delta) around a plain start point V0, with the exact entropy
-gradient pulled back through the polar factor.  Every run keeps one restart
+gradient pulled back through the polar factor.  Factors of equal shape share
+one stacked chart, so an evaluation takes one batched SVD per shape, and a
+restart stops once an iteration lowers the entropy by less than
+ENTROPY_FTOL (relative), the rounding floor of an entropy evaluation.  The
+gradient -2 Tr_B[G (K x 1) rho] is one matmul with the trace over B folded
+into its contraction.  Every run keeps one restart
 pinned at the identity encoding, and derived searches are warm-started from
 the solutions of their restricted counterparts (global from the kron of the
 local optimum, CPTP from [U; 0]) so the capacity hierarchy is monotone by
@@ -188,6 +193,13 @@ def attaining_ensemble(encoder_min, enc_set: LocalEncodingSet) -> EncodingEnsemb
 # start step this far off the unitary set along a seeded block first.
 CPTP_KICK = 0.1
 
+# L-BFGS-B stops once an iteration lowers the entropy by less than this,
+# relative to max(|S|, 1).  An entropy evaluation carries rounding noise of a
+# few 1e-15 bits (S(U sigma U^dag) spreads by up to 6.5e-15 over random
+# unitaries U at D = 4..64), so a smaller decrease is noise: line searches
+# that chase it end in ABNORMAL_TERMINATION_IN_LNSRCH after extra evaluations.
+ENTROPY_FTOL = 1e-13
+
 
 def _factor_dims(layout: SubsystemLayout, mode: str) -> tuple[int, ...]:
     """Input dimension of each encoder factor: one per sender, or one joint."""
@@ -201,49 +213,55 @@ def _factor_dims(layout: SubsystemLayout, mode: str) -> tuple[int, ...]:
 def _kraus(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Joint Kraus stack of per-factor stacks (env, d_j, d_j): every kron
     product, the first factor's Kraus index varying slowest."""
-    k = len(factors)
-    operands = []
-    for j, f in enumerate(factors):
-        operands += [f, [j, k + j, 2 * k + j]]
-    ks = np.einsum(*operands, list(range(3 * k)))
-    dim = math.prod(f.shape[1] for f in factors)
-    return ks.reshape(-1, dim, dim)
+    ks = factors[0]
+    for f in factors[1:]:
+        ks = (ks[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(
+            len(ks) * len(f), ks.shape[1] * f.shape[1], -1)
+    return ks
 
 
 def _factor_grads(grad: np.ndarray, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Gradients of the per-factor stacks from that of the joint stack: each
-    contracts the joint gradient with the conjugates of the other factors."""
+    contracts the joint gradient with the conjugate kron of the other factors."""
     k = len(factors)
+    if k == 1:
+        return [grad]
     grad = grad.reshape([f.shape[0] for f in factors] + [f.shape[1] for f in factors] * 2)
     out = []
-    for j in range(k):
-        operands = [grad, list(range(3 * k))]
-        for m, f in enumerate(factors):
-            if m != j:
-                operands += [f.conj(), [m, k + m, 2 * k + m]]
-        out.append(np.einsum(*operands, [j, k + j, 2 * k + j]))
+    for j, f in enumerate(factors):
+        rest = [m for m in range(3 * k) if m % k != j]
+        others = _kraus(factors[:j] + factors[j + 1:])
+        mine = grad.transpose([j, k + j, 2 * k + j] + rest).reshape(f.size, -1)
+        out.append((mine @ others.conj().ravel()).reshape(f.shape))
     return out
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def _polar_chart(v0: np.ndarray, delta: np.ndarray):
     """(V, pullback): V = polar(V0 + Delta), column-orthonormal, and the map
-    taking a gradient in V to the gradient in Delta.
+    taking a gradient in V to the gradient in Delta.  Leading axes of V0 and
+    Delta index a stack of independent charts, one batched SVD for all.
 
     With A = V0 + Delta = U s W^dag, V = U W^dag = A P for P = (A^dag A)^(-1/2).
     The pullback is the adjoint of dV = dA P + A dP, with dP from
     dM = dA^dag A + A^dag dA by Daleckii-Krein: in the eigenbasis W of the
-    Gram matrix M, dP is dM times the divided differences of x^(-1/2) at the
-    eigenvalues s^2.
+    Gram matrix M, dP is dM times the divided differences
+    F_ij = -1 / (s_i s_j (s_i + s_j)) of x^(-1/2) at the eigenvalues s^2.
+    In the singular bases, with C = U^dag grad W and Y = F * (C^dag s), the
+    adjoint is grad -> (grad W / s + U s (Y + Y^dag)) W^dag.
     """
-    a = v0 + delta
-    u, s, wh = np.linalg.svd(a, full_matrices=False)
-    w = wh.conj().T
-    p = (w / s) @ wh
-    divided = -1.0 / (np.multiply.outer(s, s) * np.add.outer(s, s))
+    u, s, wh = np.linalg.svd(v0 + delta, full_matrices=False)
+    w = _dagger(wh)
+    si, sj = s[..., :, None], s[..., None, :]
+    scaled = -1.0 / (si * (si + sj))  # F_ij s_j
 
     def pullback(grad: np.ndarray) -> np.ndarray:
-        b = w @ (divided * (wh @ grad.conj().T @ a @ w)) @ wh
-        return grad @ p + a @ (b + b.conj().T)
+        gw = grad @ w
+        y = scaled * _dagger(_dagger(u) @ gw)
+        return (gw / sj + u @ (si * (y + _dagger(y)))) @ wh
 
     return u @ wh, pullback
 
@@ -259,17 +277,21 @@ def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int
     """
     adjoint = adjoint_map(channel, layout)
     da, db = layout.sender_dim, layout.receiver_dim
-    rho4 = rho.reshape(da, db, da, db)
+    # Tr_B[G (K x 1) rho][a, z] = sum_bxy G[a b, x y] ((K x 1) rho)[x y, z b]
+    # is one matmul of G, read as rows a by columns (b, x, y), with
+    # (K x 1) rho stacked as rows (b, x, y) by columns z: K acts on the index
+    # c of columns[b, c, (y, z)] = rho[c y, z b].  Only the blocks the trace
+    # over B keeps are formed.
+    columns = rho.reshape(da, db, da, db).transpose(3, 0, 1, 2).reshape(db, da, db * da)
 
     def objective(vs):
         factors = [v.reshape(env_dim, d, d) for v, d in zip(vs, dims)]
         ks = _kraus(factors)
         sigma = apply_channel(channel, _encode_with_kraus(rho, ks, layout), layout)
         w, u = np.linalg.eigh(sigma)
-        g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))) @ u.conj().T)
-        # Tr_B[G (K x 1) rho][a, z] = sum_xc K[x, c] r[a, x, c, z]
-        r = np.tensordot(g.reshape(da, db, da, db), rho4, axes=([1, 3], [3, 1]))
-        grad = -2.0 * np.tensordot(ks, r, axes=([1, 2], [1, 2]))
+        g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))) @ _dagger(u))
+        kron_rho = ks[:, None] @ columns
+        grad = -2.0 * (g.reshape(da, -1) @ kron_rho.reshape(len(ks), -1, da))
         grads = _factor_grads(grad, factors)
         return von_neumann_entropy(sigma), [
             gr.reshape(env_dim * d, d) for gr, d in zip(grads, dims)]
@@ -278,22 +300,41 @@ def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int
 
 
 def _on_chart(objective, v0: Sequence[np.ndarray]):
-    """(fun, point) for L-BFGS-B: point(x) holds polar(V0_j + Delta_j) with the
-    Delta_j read from x as interleaved real/imaginary pairs, and fun(x) is
-    the objective there with its exact gradient in x."""
-    splits = np.cumsum([v.size for v in v0])[:-1]
+    """(fun, point) for L-BFGS-B: point(x) holds polar(V0_j + Delta_j), and
+    fun(x) is the objective there with its exact gradient in x.
+
+    Factors of equal shape share one stacked chart; x holds the Delta of each
+    stack in turn, in order of the stack's first factor, as interleaved
+    real/imaginary pairs.  A non-finite value or gradient raises
+    NumericalError, so the restart is aborted rather than recorded.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, v in enumerate(v0):
+        groups.setdefault(v.shape, []).append(j)
+    stacks = [(idx, np.stack([v0[j] for j in idx])) for idx in groups.values()]
+    ends = np.cumsum([base.size for _, base in stacks])
 
     def charts(x):
-        deltas = np.split(np.asarray(x, dtype=float).view(complex), splits)
-        return [_polar_chart(v, d.reshape(v.shape)) for v, d in zip(v0, deltas)]
+        z = np.asarray(x, dtype=float).view(complex)
+        vs, pullbacks = [None] * len(v0), []
+        for (idx, base), end in zip(stacks, ends):
+            v, pullback = _polar_chart(base, z[end - base.size:end].reshape(base.shape))
+            for j, vj in zip(idx, v):
+                vs[j] = vj
+            pullbacks.append(pullback)
+        return vs, pullbacks
 
     def fun(x):
-        cs = charts(x)
-        value, grads = objective([v for v, _ in cs])
-        return value, np.concatenate(
-            [pullback(g).ravel() for (_, pullback), g in zip(cs, grads)]).view(float)
+        vs, pullbacks = charts(x)
+        value, grads = objective(vs)
+        grad = np.concatenate([
+            pullback(np.stack([grads[j] for j in idx])).ravel()
+            for (idx, _), pullback in zip(stacks, pullbacks)]).view(float)
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
+            raise NumericalError(f"non-finite objective {value} or gradient")
+        return value, grad
 
-    return fun, lambda x: [v for v, _ in charts(x)]
+    return fun, lambda x: charts(x)[0]
 
 
 def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm=()):
@@ -330,7 +371,7 @@ def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm
                 np.zeros(2 * sum(v.size for v in v0)),
                 method="L-BFGS-B",
                 jac=True,
-                options={"maxiter": cfg.max_iters, "ftol": 1e-15, "gtol": 1e-10},
+                options={"maxiter": cfg.max_iters, "ftol": ENTROPY_FTOL, "gtol": 1e-10},
             )
             found.append((float(result.fun), point(result.x)))
         except (NumericalError, FloatingPointError) as exc:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densecode import capacity
 from densecode.capacity import (
     EncodingEnsemble,
     OptimizerConfig,
@@ -30,6 +31,7 @@ from densecode.channels import (
     CorrelationSpec,
     CptpMap,
     SinglePartyPauliSpec,
+    adjoint_map,
     apply_channel,
     correlated_probs,
     depolarizing_probs,
@@ -37,6 +39,7 @@ from densecode.channels import (
     pauli_kraus,
     product_probs,
 )
+from densecode.cli import run_scenario
 from densecode.displacement import local_encoding_set
 from densecode.errors import (
     LayoutError,
@@ -46,6 +49,7 @@ from densecode.errors import (
     ProbabilityError,
 )
 from densecode.linalg import (
+    EIG_CLIP,
     SubsystemLayout,
     partial_trace,
     random_density_matrix,
@@ -209,6 +213,47 @@ def chart_problems(draw):
     return layout, dims, env, random_density_matrix(layout.total_dim, rng), spec, v0, x
 
 
+def tensordot_objective(rho, channel, layout, dims, env):
+    """The entropy objective built the slow way: the oracle for
+    ``_entropy_objective``.
+
+    The joint Kraus stack and the factor gradients come from multi-operand
+    einsums, the encoding from explicit kron(K, 1) products, and
+    Tr_B[G (K x 1) rho] from two tensordots through a D_A^4 intermediate.
+    """
+    adjoint = adjoint_map(channel, layout)
+    da, db = layout.sender_dim, layout.receiver_dim
+    rho4 = rho.reshape(da, db, da, db)
+
+    def objective(vs):
+        factors = [v.reshape(env, d, d) for v, d in zip(vs, dims)]
+        k = len(factors)
+        operands = []
+        for j, f in enumerate(factors):
+            operands += [f, [j, k + j, 2 * k + j]]
+        ks = np.einsum(*operands, list(range(3 * k))).reshape(-1, da, da)
+        lifted = [np.kron(kt, np.eye(db)) for kt in ks]
+        sigma = apply_channel(
+            channel, sum(m @ rho @ m.conj().T for m in lifted), layout)
+        w, u = np.linalg.eigh(sigma)
+        g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))) @ u.conj().T)
+        # Tr_B[G (K x 1) rho][a, z] = sum_xc K[x, c] r[a, x, c, z]
+        r = np.tensordot(g.reshape(da, db, da, db), rho4, axes=([1, 3], [3, 1]))
+        grad = -2.0 * np.tensordot(ks, r, axes=([1, 2], [1, 2]))
+        grad = grad.reshape([f.shape[0] for f in factors]
+                            + [f.shape[1] for f in factors] * 2)
+        grads = []
+        for j, d in enumerate(dims):
+            operands = [grad, list(range(3 * k))]
+            for m, f in enumerate(factors):
+                if m != j:
+                    operands += [f.conj(), [m, k + m, 2 * k + m]]
+            grads.append(np.einsum(*operands, [j, k + j, 2 * k + j]).reshape(env * d, d))
+        return von_neumann_entropy(sigma), grads
+
+    return objective
+
+
 class TestEntropyGradient:
     @settings(max_examples=30, deadline=None)
     @given(chart_problems())
@@ -221,6 +266,52 @@ class TestEntropyGradient:
             assert np.abs(grad - central_difference_gradient(fun, x)).max() < 1e-6
             grads.append(grad)
         assert np.abs(grads[0] - grads[1]).max() < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(chart_problems())
+    def test_matches_tensordot_oracle(self, problem):
+        # Local and global factors, env 1-3, qubit and qutrit senders, and the
+        # same channel as a Pauli spec and as its Kraus map.
+        layout, dims, env, rho, spec, v0, _ = problem
+        for channel in (spec, pauli_kraus(spec)):
+            value, grads = _entropy_objective(rho, channel, layout, dims, env)(v0)
+            want_value, want_grads = tensordot_objective(rho, channel, layout, dims, env)(v0)
+            assert abs(value - want_value) <= 1e-12
+            for got, want in zip(grads, want_grads, strict=True):
+                assert np.abs(got - want).max() <= 1e-12
+
+
+def gram_pullback(a, grad):
+    """Adjoint of dA -> d polar(A) at A, written with A and the Gram factor
+    P = (A^dag A)^(-1/2) as dV = dA P + A dP: the oracle for the pullback of
+    ``_polar_chart``, which works in the singular bases instead."""
+    u, s, wh = np.linalg.svd(a, full_matrices=False)
+    w = wh.conj().T
+    p = (w / s) @ wh
+    divided = -1.0 / (np.multiply.outer(s, s) * np.add.outer(s, s))
+    b = w @ (divided * (wh @ grad.conj().T @ a @ w)) @ wh
+    return grad @ p + a @ (b + b.conj().T)
+
+
+def factor_loop_chart(objective, v0, x):
+    """(value, gradient in x, points) of the chart at x with one
+    ``_polar_chart`` call per factor: the oracle for the stacked chart.
+
+    x holds the factors grouped by shape, groups in order of first
+    appearance, as ``_on_chart`` lays it out.
+    """
+    first = {}
+    for j, v in enumerate(v0):
+        first.setdefault(v.shape, j)
+    order = sorted(range(len(v0)), key=lambda j: first[v0[j].shape])
+    z = x.view(complex)
+    starts = np.cumsum([0] + [v0[j].size for j in order])
+    deltas = {j: z[lo:lo + v0[j].size].reshape(v0[j].shape)
+              for j, lo in zip(order, starts)}
+    charts = [_polar_chart(v, deltas[j]) for j, v in enumerate(v0)]
+    value, grads = objective([v for v, _ in charts])
+    grad = np.concatenate([charts[j][1](grads[j]).ravel() for j in order])
+    return value, grad.view(float), [v for v, _ in charts]
 
 
 class TestParameterizations:
@@ -253,6 +344,42 @@ class TestParameterizations:
         a[:3] = u
         v, _ = _polar_chart(a, np.zeros_like(a))
         assert np.abs(v - a).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 2, 2), (2, 3), (3, 2, 3), (4,), (8,)]),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_stacked_chart_matches_factor_loop(self, dims, env, seed):
+        # Local factors of equal and of mixed dims, a joint global factor,
+        # environments 1-3: the stacked chart against one chart per factor.
+        rng = np.random.default_rng(seed)
+        v0 = [random_isometry(env * d, d, rng) for d in dims]
+        targets = [rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+                   for v in v0]
+
+        def linear(vs):
+            # Re sum_j <C_j, V_j>, whose gradient d/dRe + i d/dIm is C_j.
+            return float(sum(np.vdot(c, v).real for c, v in zip(targets, vs))), targets
+
+        x = 0.3 * rng.standard_normal(2 * sum(v.size for v in v0))
+        fun, point = _on_chart(linear, v0)
+        value, grad = fun(x)
+        want_value, want_grad, want_vs = factor_loop_chart(linear, v0, x)
+        assert abs(value - want_value) <= 1e-12
+        assert np.abs(grad - want_grad).max() <= 1e-12
+        for got, want in zip(point(x), want_vs, strict=True):
+            assert np.abs(got - want).max() <= 1e-12
+        for shape in {v.shape for v in v0}:
+            group = [j for j, v in enumerate(v0) if v.shape == shape]
+            deltas = [targets[j] * 0.1 for j in group]
+            stacked_v, stacked_pullback = _polar_chart(
+                np.stack([v0[j] for j in group]), np.stack(deltas))
+            pulled = stacked_pullback(np.stack([targets[j] for j in group]))
+            for i, (j, delta) in enumerate(zip(group, deltas)):
+                v, pullback = _polar_chart(v0[j], delta)
+                assert np.abs(stacked_v[i] - v).max() <= 1e-12
+                assert np.abs(pulled[i] - pullback(targets[j])).max() <= 1e-12
+                want = gram_pullback(v0[j] + delta, targets[j])
+                assert np.abs(pulled[i] - want).max() <= 1e-12
 
 
 class TestCapacityCovariant:
@@ -337,6 +464,45 @@ class TestCapacityCovariant:
             "channel failed to preserve trace by 1.000e-03")
         assert any(isinstance(h, logging.NullHandler)
                    for h in logging.getLogger("densecode").handlers)
+
+    def test_non_finite_restart_is_logged(self, caplog):
+        # Flat at 1.0 near the identity, where restart 0 starts; NaN from the
+        # seeded random unitaries of restarts 1 and 2.
+        def objective(vs):
+            dev = vs[0] - np.eye(3)
+            value = 1.0 if np.abs(dev).max() <= 0.5 else math.nan
+            return value, [np.zeros_like(dev)]
+
+        cfg = OptimizerConfig(restarts=3, max_iters=20, seed=42)
+        with caplog.at_level(logging.WARNING, logger="densecode"):
+            value, _, trace = _minimize_restarts(objective, (3,), 1, cfg)
+        assert value == 1.0 and trace == ((0, 1.0),)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"restart {rid} aborted: NumericalError: non-finite objective nan or gradient"
+            for rid in (1, 2)]
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": "bell-diagonal-full",
+         "state": {"weights": [0.7, 0.1, 0.1, 0.1], "copies": 2},
+         "channel": {"q": [0.8, 0.1, 0.05, 0.05]}},
+        {"scenario": "ghz-full", "mode": "local", "state": {"copies": 2},
+         "channel": {"q": [0.85, 0.05, 0.05, 0.05]}},
+    ], ids=["bell-diagonal-full", "ghz-full"])
+    def test_restarts_stop_at_the_rounding_floor(self, monkeypatch, config):
+        # An ftol below the entropy's rounding noise keeps converged restarts
+        # line-searching until scipy gives up with status 2
+        # (ABNORMAL_TERMINATION_IN_LNSRCH); here every restart must end in 0.
+        statuses, minimize = [], capacity.minimize
+
+        def recording(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            statuses.append(result.status)
+            return result
+
+        monkeypatch.setattr(capacity, "minimize", recording)
+        (row,) = run_scenario({**config, "seed": 7})
+        assert abs(row.optimizer_bits - row.closed_form_bits) <= 1e-6
+        assert statuses == [0] * 16
 
 
 class TestCapacityNonunitary:
