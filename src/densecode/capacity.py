@@ -10,29 +10,31 @@ so the only hard part is the entropy minimization.  Every encoder is a point
 on a product of Stiefel manifolds {V : V^dag V = 1}: one (env_dim * d) x d
 isometry per sender in ``local`` mode or one joint factor in ``global`` mode,
 whose row blocks are Stinespring Kraus operators; a unitary is the case
-env_dim = 1.  Each restart runs scipy's L-BFGS-B on the chart
-V = polar(V0 + Delta) around a plain start point V0, with the exact entropy
-gradient pulled back through the polar factor.  Factors of equal shape share
-one stacked chart, so an evaluation takes one batched SVD per shape, and a
-restart stops once an iteration lowers the entropy by less than
-ENTROPY_FTOL (relative), the rounding floor of an entropy evaluation.  The
-gradient -2 Tr_B[G (K x 1) rho] is one matmul with the trace over B folded
-into its contraction.  Every run keeps one restart
-pinned at the identity encoding, and derived searches are warm-started from
-the solutions of their restricted counterparts (global from the kron of the
-local optimum, CPTP from [U; 0]) so the capacity hierarchy is monotone by
-construction.
+env_dim = 1.  Each restart runs ``minimize``, an L-BFGS in numpy (two-loop
+recursion over the last LBFGS_MEMORY steps, strong Wolfe line search), on
+the chart V = polar(V0 + Delta) around a plain start point V0, with the exact
+entropy gradient pulled back through the polar factor.  Factors of equal
+shape share one stacked chart, so an evaluation takes one batched SVD per
+shape.  A restart stops once max |gradient| <= GRAD_TOL, once an iteration
+lowers the entropy, or its search direction would to first order, by at
+most ENTROPY_FTOL (relative), the rounding floor of an entropy evaluation,
+or after max_iters iterations.  The gradient -2 Tr_B[G (K x 1) rho] is one
+matmul with the trace over B folded into its contraction.  Every run keeps
+one restart pinned at the identity encoding, and derived searches are
+warm-started from the solutions of their restricted counterparts (global
+from the kron of the local optimum, CPTP from [U; 0]) so the capacity
+hierarchy is monotone by construction.
 """
 
 from __future__ import annotations
 
+import collections
 import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     CptpMap,
@@ -85,6 +87,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ParameterError("need at least one restart")
+        if self.max_iters < 1:
+            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +189,149 @@ def attaining_ensemble(encoder_min, enc_set: LocalEncodingSet) -> EncodingEnsemb
 
 
 # ---------------------------------------------------------------------------
+# Unconstrained L-BFGS
+# ---------------------------------------------------------------------------
+
+# A restart stops once an iteration lowers the entropy by at most this,
+# relative to max(|S_k|, |S_k+1|, 1), or once the next search direction d
+# would to first order (-g.d relative to max(|S_k|, 1)).  An entropy
+# evaluation carries rounding noise of a few 1e-15 bits (S(U sigma U^dag)
+# spreads by up to 6.5e-15 over random unitaries U at D = 4..64), so a
+# smaller decrease is noise: line searches that chase it fail after
+# LINE_SEARCH_EVALS evaluations.
+ENTROPY_FTOL = 1e-13
+# ... or once max |gradient| <= GRAD_TOL.
+GRAD_TOL = 1e-10
+# Step pairs kept by the two-loop recursion.
+LBFGS_MEMORY = 10
+# Strong Wolfe constants of the line search and its budget of evaluations.
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+LINE_SEARCH_EVALS = 20
+
+
+@dataclass(frozen=True, eq=False)
+class MinimizeResult:
+    """End of one ``minimize`` run: the last iterate and its value, the
+    iterations and evaluations spent, and ``status`` 0 when a stopping rule
+    was met, 1 at the iteration limit, 2 when a line search failed."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    status: int
+
+
+def _two_loop(g: np.ndarray, memory) -> np.ndarray:
+    """H g for the L-BFGS inverse-Hessian estimate H built from the
+    (s, y, 1 / y.s) pairs in memory, oldest first, on H0 = (s.y / y.y) 1 of
+    the newest pair (Nocedal & Wright, Algorithm 7.4)."""
+    q = g.copy()
+    alphas = []
+    for s, y, r in reversed(memory):
+        alphas.append(r * (s @ q))
+        q -= alphas[-1] * y
+    if memory:
+        _, y, r = memory[-1]
+        q /= r * (y @ y)
+    for (s, y, r), a in zip(memory, reversed(alphas)):
+        q += (a - r * (y @ q)) * s
+    return q
+
+
+def _cubic_step(lo, hi) -> float:
+    """Minimizer of the cubic through the values and slopes at the steps of
+    lo and hi, each (step, value, slope), by Nocedal & Wright (3.59) on the
+    interval mapped to [0, 1]: kept within the middle 80% of the interval,
+    and its midpoint when the cubic has no minimizer."""
+    (a0, f0, s0), (a1, f1, s1) = lo, hi
+    width = a1 - a0
+    s0, s1 = s0 * width, s1 * width
+    d1 = s0 + s1 - 3.0 * (f1 - f0)
+    rad = d1 * d1 - s0 * s1
+    t = 0.5
+    if rad >= 0.0:
+        d2 = math.sqrt(rad)
+        den = s1 - s0 + 2.0 * d2
+        if den != 0.0:
+            t = min(max(1.0 - (s1 + d2 - d1) / den, 0.1), 0.9)
+    return a0 + t * width
+
+
+def _line_search(fun, x, f0: float, g0, d, step: float):
+    """(step, value, gradient) along d meeting the strong Wolfe conditions
+    f <= f0 + WOLFE_C1 step g0.d and |g.d| <= WOLFE_C2 |g0.d|, or None when
+    LINE_SEARCH_EVALS evaluations find none.
+
+    Nocedal & Wright's Algorithms 3.5 and 3.6 in one loop: lo is the best
+    step with sufficient decrease so far, hi the other end of a bracket once
+    one is known.  Without a bracket the trial step grows fourfold, the
+    Moré-Thuente bound on extrapolation; with one it is ``_cubic_step``.
+    """
+    slope0 = g0 @ d
+    lo, hi = (0.0, f0, slope0), None
+    for _ in range(LINE_SEARCH_EVALS):
+        f, g = fun(x + step * d)
+        slope = g @ d
+        if f > f0 + WOLFE_C1 * step * slope0 or f >= lo[1]:
+            hi = (step, f, slope)
+        elif abs(slope) <= -WOLFE_C2 * slope0:
+            return step, f, g
+        else:
+            if slope * (1.0 if hi is None else hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = (step, f, slope)
+        step = 4.0 * step if hi is None else _cubic_step(lo, hi)
+    return None
+
+
+def minimize(fun, x0, max_iters: int) -> MinimizeResult:
+    """Minimize ``fun(x) -> (value, gradient)`` from ``x0`` by L-BFGS.
+
+    Each iteration steps along -H g, H from ``_two_loop`` over the last
+    LBFGS_MEMORY steps, by a strong Wolfe line search that tries step
+    min(1, 1/|d|) first on the first iteration and 1 after.  Stops with
+    status 0 once max |g| <= GRAD_TOL, once an iteration lowers the value by
+    at most ENTROPY_FTOL relative to max(|f_k|, |f_k+1|, 1), or once -g.d,
+    the first-order decrease along d, is at most ENTROPY_FTOL relative to
+    max(|f_k|, 1); with status 1 after ``max_iters`` iterations and with
+    status 2 when a line search fails.  Errors raised by ``fun`` propagate.
+    """
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x)
+
+    x = np.array(x0, dtype=float)
+    f, g = evaluate(x)
+    memory = collections.deque(maxlen=LBFGS_MEMORY)
+    nit = 0
+    while np.abs(g).max() > GRAD_TOL:
+        if nit >= max_iters:
+            return MinimizeResult(x, f, nit, nfev, 1)
+        d = -_two_loop(g, memory)
+        if -(g @ d) <= ENTROPY_FTOL * max(abs(f), 1.0):
+            break
+        step = min(1.0, 1.0 / np.linalg.norm(d)) if nit == 0 else 1.0
+        found = _line_search(evaluate, x, f, g, d, step)
+        if found is None:
+            return MinimizeResult(x, f, nit, nfev, 2)
+        step, f_new, g_new = found
+        s, y = step * d, g_new - g
+        if s @ y > 0.0:
+            memory.append((s, y, 1.0 / (s @ y)))
+        x = x + s
+        nit += 1
+        f, f_old, g = f_new, f, g_new
+        if f_old - f <= ENTROPY_FTOL * max(abs(f_old), abs(f), 1.0):
+            break
+    return MinimizeResult(x, f, nit, nfev, 0)
+
+
+# ---------------------------------------------------------------------------
 # Encoders as points on a product of Stiefel manifolds
 # ---------------------------------------------------------------------------
 
@@ -192,13 +339,6 @@ def attaining_ensemble(encoder_min, enc_set: LocalEncodingSet) -> EncodingEnsemb
 # zero gradient), so CPTP searches from the identity and from the unitary warm
 # start step this far off the unitary set along a seeded block first.
 CPTP_KICK = 0.1
-
-# L-BFGS-B stops once an iteration lowers the entropy by less than this,
-# relative to max(|S|, 1).  An entropy evaluation carries rounding noise of a
-# few 1e-15 bits (S(U sigma U^dag) spreads by up to 6.5e-15 over random
-# unitaries U at D = 4..64), so a smaller decrease is noise: line searches
-# that chase it end in ABNORMAL_TERMINATION_IN_LNSRCH after extra evaluations.
-ENTROPY_FTOL = 1e-13
 
 
 def _factor_dims(layout: SubsystemLayout, mode: str) -> tuple[int, ...]:
@@ -300,7 +440,7 @@ def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int
 
 
 def _on_chart(objective, v0: Sequence[np.ndarray]):
-    """(fun, point) for L-BFGS-B: point(x) holds polar(V0_j + Delta_j), and
+    """(fun, point) for ``minimize``: point(x) holds polar(V0_j + Delta_j), and
     fun(x) is the objective there with its exact gradient in x.
 
     Factors of equal shape share one stacked chart; x holds the Delta of each
@@ -338,7 +478,7 @@ def _on_chart(objective, v0: Sequence[np.ndarray]):
 
 
 def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm=()):
-    """Best entropy over restarts, each one L-BFGS-B search of the polar chart
+    """Best entropy over restarts, each one L-BFGS search of the polar chart
     around a plain start point; returns (entropy, factors, trace).
 
     Restart 0 starts at the identity [1; 0], restarts 1..restarts-1 at seeded
@@ -366,13 +506,8 @@ def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm
                 found.append((objective(v0)[0], v0))
                 v0 = [_polar_chart(v, x)[0] for v, x in zip(v0, kick)]
             fun, point = _on_chart(objective, v0)
-            result = minimize(
-                fun,
-                np.zeros(2 * sum(v.size for v in v0)),
-                method="L-BFGS-B",
-                jac=True,
-                options={"maxiter": cfg.max_iters, "ftol": ENTROPY_FTOL, "gtol": 1e-10},
-            )
+            result = minimize(fun, np.zeros(2 * sum(v.size for v in v0)),
+                              max_iters=cfg.max_iters)
             found.append((float(result.fun), point(result.x)))
         except (NumericalError, FloatingPointError) as exc:
             logger.warning("restart %d aborted: %s: %s", rid, type(exc).__name__, exc)

@@ -46,7 +46,7 @@ from .channels import (
     verify_covariance,
 )
 from .displacement import local_encoding_set, twirl, verify_displacement_algebra
-from .errors import DensecodeError
+from .errors import DensecodeError, ParameterError
 from .linalg import (
     SubsystemLayout,
     random_hermitian,
@@ -145,11 +145,14 @@ def _optimizer_config(cfg: dict, seed: int) -> OptimizerConfig:
     unknown = set(opt) - known
     if unknown:
         raise ConfigError(f"optimizer: unknown fields {sorted(unknown)}")
-    return OptimizerConfig(
-        restarts=int(opt.get("restarts", 16)),
-        max_iters=int(opt.get("max_iters", 200)),
-        seed=int(opt.get("seed", seed)),
-    )
+    try:
+        return OptimizerConfig(
+            restarts=int(opt.get("restarts", 16)),
+            max_iters=int(opt.get("max_iters", 200)),
+            seed=int(opt.get("seed", seed)),
+        )
+    except ParameterError as exc:
+        raise ConfigError(f"optimizer: {exc}") from exc
 
 
 def _mu_matrix(raw, parties: int) -> CorrelationSpec:

@@ -382,6 +382,215 @@ class TestParameterizations:
                 assert np.abs(pulled[i] - want).max() <= 1e-12
 
 
+# ---------------------------------------------------------------------------
+# The L-BFGS behind every restart
+# ---------------------------------------------------------------------------
+
+def rosenbrock(shift):
+    """(value, gradient) of the Rosenbrock function moved by ``shift``: its
+    minimum 0 sits at shift + 1."""
+    def fun(x):
+        z = x - shift
+        r = z[1:] - z[:-1] ** 2
+        grad = np.zeros_like(z)
+        grad[:-1] = -400.0 * z[:-1] * r - 2.0 * (1.0 - z[:-1])
+        grad[1:] += 200.0 * r
+        return float(np.sum(100.0 * r**2 + (1.0 - z[:-1]) ** 2)), grad
+
+    return fun
+
+
+def quadratic(a, b, c):
+    """(value, gradient) of 0.5 x.Ax - b.x + c."""
+    return lambda x: (float(0.5 * x @ a @ x - b @ x + c), a @ x - b)
+
+
+@st.composite
+def spd_quadratics(draw):
+    """(fun, minimum, start) of 0.5 x.Ax - b.x + c in 1 to 8 dimensions, A of
+    eigenvalues in [0.5, 20] in a random basis, c in [-100, 100], the start
+    up to 10 from the minimizer in each coordinate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * rng.uniform(0.5, 20.0, n)) @ q.T
+    b = rng.standard_normal(n)
+    fun = quadratic(a, b, rng.uniform(-100.0, 100.0))
+    x_min = np.linalg.solve(a, b)
+    return fun, fun(x_min)[0], x_min + rng.uniform(-10.0, 10.0, n)
+
+
+@st.composite
+def shifted_rosenbrocks(draw):
+    """(fun, minimum, start) of a shifted Rosenbrock function in 2 or 3
+    dimensions (from 4 on it has a second local minimum), the start up to 1.5
+    from the minimizer in each coordinate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = rng.uniform(-3.0, 3.0, draw(st.integers(2, 3)))
+    return rosenbrock(shift), 0.0, shift + 1.0 + rng.uniform(-1.5, 1.5, shift.size)
+
+
+def recording_line_search(patch):
+    """Wrap ``capacity._line_search`` through ``patch`` (a MonkeyPatch) and
+    return the list it fills with (f0, slope0, step, f, slope) per accepted
+    step, slopes taken along the step's direction."""
+    accepted, line_search = [], capacity._line_search
+
+    def recording(fun, x, f0, g0, d, step):
+        found = line_search(fun, x, f0, g0, d, step)
+        if found is not None:
+            accepted.append((f0, g0 @ d, found[0], found[1], found[2] @ d))
+        return found
+
+    patch.setattr(capacity, "_line_search", recording)
+    return accepted
+
+
+class TestMinimize:
+    """``capacity.minimize``: L-BFGS steps by a strong Wolfe line search."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(spd_quadratics(), shifted_rosenbrocks()))
+    def test_strong_wolfe_steps_reach_the_minimum(self, problem):
+        fun, f_min, x0 = problem
+        calls = []
+
+        def counted(x):
+            calls.append(None)
+            return fun(x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            accepted = recording_line_search(patch)
+            result = capacity.minimize(counted, x0, max_iters=500)
+        assert result.status == 0
+        assert (result.nit, result.nfev) == (len(accepted), len(calls))
+        # c1 = 1e-4 and c2 = 0.9, written out rather than read from the module.
+        for f0, slope0, step, f, slope in accepted:
+            assert slope0 < 0.0 < step
+            assert f <= f0 + 1e-4 * step * slope0
+            assert abs(slope) <= 0.9 * abs(slope0)
+        # The optimizer's rung of the tolerance ladder, in value.
+        assert result.fun - f_min <= 1e-8
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 10))
+    def test_iteration_limit_gives_status_1(self, max_iters):
+        # From (-1.2, 1) the Rosenbrock valley takes more than 10 iterations.
+        result = capacity.minimize(rosenbrock(np.zeros(2)), [-1.2, 1.0], max_iters)
+        assert (result.status, result.nit) == (1, max_iters)
+
+    def test_wrong_gradient_gives_status_2(self):
+        # With the gradient negated every search direction climbs the value,
+        # so no step meets the sufficient-decrease condition.
+        fun = quadratic(np.diag([1.0, 4.0]), np.array([1.0, -2.0]), 3.0)
+        x0 = np.array([5.0, 5.0])
+        result = capacity.minimize(lambda x: (fun(x)[0], -fun(x)[1]), x0, max_iters=50)
+        assert (result.status, result.nit) == (2, 0)
+        assert result.nfev == 1 + capacity.LINE_SEARCH_EVALS
+        assert np.array_equal(result.x, x0) and result.fun == fun(x0)[0]
+
+    def test_error_from_fun_propagates(self):
+        fun, calls = rosenbrock(np.zeros(2)), []
+
+        def failing(x):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericalError("channel failed to preserve trace")
+            return fun(x)
+
+        with pytest.raises(NumericalError, match="preserve trace"):
+            capacity.minimize(failing, [-1.2, 1.0], max_iters=50)
+
+
+# ---------------------------------------------------------------------------
+# scipy's L-BFGS-B as the oracle of the numpy L-BFGS
+# ---------------------------------------------------------------------------
+
+SCENARIO_FAMILIES = {
+    "bell-correlated-local": {
+        "scenario": "bell-correlated", "mode": "local", "state": {"dims": [2, 2]},
+        "channel": {"singles": [[[0.7, 0.1], [0.1, 0.1]], [[0.6, 0.2], [0.1, 0.1]]],
+                    "mu": 0.5}},
+    "bell-correlated-global": {
+        "scenario": "bell-correlated", "mode": "global", "state": {"dims": [2, 2]},
+        "channel": {"singles": [[[0.7, 0.1], [0.1, 0.1]], [[0.6, 0.2], [0.1, 0.1]]],
+                    "mu": 0.5}},
+    "bell-diagonal-full": {
+        "scenario": "bell-diagonal-full",
+        "state": {"weights": [0.7, 0.1, 0.1, 0.1], "copies": 2},
+        "channel": {"q": [0.8, 0.1, 0.05, 0.05]}},
+    "ghz-full": {
+        "scenario": "ghz-full", "mode": "local", "state": {"copies": 2},
+        "channel": {"q": [0.85, 0.05, 0.05, 0.05]}},
+    "depolarizing-d3": {
+        "scenario": "depolarizing", "state": {"d": 3, "copies": 1},
+        "channel": {"p": 0.3}},
+}
+
+
+def scipy_minimize(fun, x0, max_iters):
+    """``capacity.minimize`` run by scipy's L-BFGS-B with the same memory and
+    stopping constants: the optimizer the numpy L-BFGS replaced, kept as its
+    oracle."""
+    from scipy.optimize import minimize
+
+    result = minimize(fun, x0, method="L-BFGS-B", jac=True, options={
+        "maxcor": capacity.LBFGS_MEMORY, "maxiter": max_iters,
+        "ftol": capacity.ENTROPY_FTOL, "gtol": capacity.GRAD_TOL})
+    return capacity.MinimizeResult(
+        result.x, float(result.fun), result.nit, result.nfev, int(result.status))
+
+
+def criterion_12_minima():
+    """Minimum output entropies of acceptance criterion 12's ten states, one
+    row (local, global, CPTP env 2) per state: the same channel, states and
+    optimizer settings."""
+    rng = np.random.default_rng(42)
+    layout = SubsystemLayout([2, 2], 2)
+    singles = [random_single(2, rng) for _ in range(3)]
+    mu = np.zeros((3, 3))
+    for j in range(3):
+        for l in range(j + 1, 3):
+            mu[j, l] = mu[l, j] = rng.random()
+    chan = correlated_probs(singles, CorrelationSpec(mu))
+    cfg = OptimizerConfig(restarts=3, max_iters=80, seed=42)
+    rows = []
+    for _ in range(10):
+        rho = random_density_matrix(8, rng)
+        rows.append([
+            capacity_covariant(rho, chan, layout, "local", cfg).min_output_entropy_bits,
+            capacity_covariant(rho, chan, layout, "global", cfg).min_output_entropy_bits,
+            capacity_nonunitary(rho, chan, layout, "global", env_dim=2,
+                                cfg=cfg).min_output_entropy_bits,
+        ])
+    return np.array(rows)
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("family", list(SCENARIO_FAMILIES))
+    def test_scenario_capacities_match(self, monkeypatch, family):
+        config = {**SCENARIO_FAMILIES[family], "seed": 7}
+        statuses, minimize = [], capacity.minimize
+
+        def recording(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            statuses.append(result.status)
+            return result
+
+        monkeypatch.setattr(capacity, "minimize", recording)
+        (row,) = run_scenario(config)
+        monkeypatch.setattr(capacity, "minimize", scipy_minimize)
+        (oracle,) = run_scenario(config)
+        assert abs(row.optimizer_bits - row.closed_form_bits) <= 1e-6
+        assert statuses and set(statuses) == {0}
+        assert abs(row.optimizer_bits - oracle.optimizer_bits) <= 1e-8
+
+    def test_criterion_12_minima_at_most_the_oracles(self, monkeypatch):
+        minima = criterion_12_minima()
+        monkeypatch.setattr(capacity, "minimize", scipy_minimize)
+        assert np.all(minima <= criterion_12_minima() + 1e-8)
+
+
 class TestCapacityCovariant:
     @pytest.mark.parametrize("d", [2, 3])
     def test_noiseless_bell(self, d):
@@ -444,6 +653,13 @@ class TestCapacityCovariant:
         with pytest.raises(ParameterError):
             OptimizerConfig(restarts=0)
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_nonpositive_max_iters_rejected(self, max_iters):
+        # Accepted before, these returned a "capacity" read off the start
+        # points of the restarts, with no iteration run.
+        with pytest.raises(ParameterError, match=f"max_iters must be >= 1, got {max_iters}"):
+            OptimizerConfig(restarts=2, max_iters=max_iters)
+
     def test_aborted_restart_is_logged(self, caplog):
         # Restart 0 starts at the identity, where this objective is zero and
         # flat; restart 1 starts at a seeded random unitary, where it raises.
@@ -489,9 +705,9 @@ class TestCapacityCovariant:
          "channel": {"q": [0.85, 0.05, 0.05, 0.05]}},
     ], ids=["bell-diagonal-full", "ghz-full"])
     def test_restarts_stop_at_the_rounding_floor(self, monkeypatch, config):
-        # An ftol below the entropy's rounding noise keeps converged restarts
-        # line-searching until scipy gives up with status 2
-        # (ABNORMAL_TERMINATION_IN_LNSRCH); here every restart must end in 0.
+        # A stop below the entropy's rounding noise keeps converged restarts
+        # line-searching until a line search fails with status 2; here every
+        # restart must end in status 0, a stopping rule met.
         statuses, minimize = [], capacity.minimize
 
         def recording(*args, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 from densecode.cli import (
     ConfigError,
     ResultRow,
+    main,
     rows_to_csv,
     rows_to_json,
     run_scenario,
@@ -112,6 +113,21 @@ class TestScenarios:
         cfg["optimizer"] = {**QUICK_OPT, field: 1e-5}
         with pytest.raises(ConfigError, match=f"optimizer: unknown fields.*'{field}'"):
             run_scenario(cfg)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+        ({"max_iters": -3}, "max_iters must be >= 1, got -3"),
+        ({"restarts": 0}, "need at least one restart"),
+    ])
+    def test_nonpositive_optimizer_setting_rejected(self, tmp_path, capsys, setting, message):
+        cfg = {"scenario": "depolarizing", "state": {"d": 2, "copies": 1},
+               "channel": {"p": 0.3}, "optimizer": {"restarts": 2, **setting}}
+        with pytest.raises(ConfigError, match=f"optimizer: {message}"):
+            run_scenario(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["capacity", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: optimizer: {message}\n"
 
 
 class TestSweep:
@@ -227,6 +243,15 @@ class TestCommandLine:
         )
         assert proc.returncode == 2, proc.stderr
         assert "line 2" in proc.stderr
+
+    def test_import_loads_no_scipy(self, cli_env):
+        # scipy.optimize alone took about 0.47 s of every CLI start.
+        code = ("import sys, densecode, densecode.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_env_var_cap_respected(self, tmp_path, cli_env):
         cfg = {
