@@ -29,6 +29,7 @@ hierarchy is monotone by construction.
 from __future__ import annotations
 
 import collections
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .channels import (
     product_probs,
     verify_covariance,
 )
-from .displacement import LocalEncodingSet, local_encoding_set
+from .displacement import LocalEncodingSet, local_encoding_set, sender_generators
 from .errors import (
     NonCovariantChannelError,
     NumericalError,
@@ -540,23 +541,29 @@ def _minimize_entropy(rho, channel, layout: SubsystemLayout, dims, env_dim: int,
 # Capacity drivers
 # ---------------------------------------------------------------------------
 
-def _certify(channel, layout: SubsystemLayout, cfg: OptimizerConfig) -> LocalEncodingSet:
-    enc_set = local_encoding_set(layout.sender_dims)
-    dev = verify_covariance(channel, enc_set, layout, trials=5, seed=cfg.seed)
+def _certify(channel, layout: SubsystemLayout, cfg: OptimizerConfig) -> None:
+    """Raise NonCovariantChannelError unless the channel commutes with the
+    sender generators, and so with every local displacement encoding."""
+    dev = verify_covariance(channel, sender_generators(layout.sender_dims), layout,
+                            trials=5, seed=cfg.seed)
     if dev > COVARIANCE_CERT_TOL:
         raise NonCovariantChannelError(
             f"covariance deviation {dev:.3e} exceeds {COVARIANCE_CERT_TOL}"
         )
-    return enc_set
 
 
-def _receiver_entropy(channel, rho, layout: SubsystemLayout) -> float:
-    out = apply_channel(channel, rho, layout)
+def _receiver_entropy(out, layout: SubsystemLayout) -> float:
     return von_neumann_entropy(partial_trace(out, layout, {layout.receiver_slot}))
 
 
-def _crosscheck(capacity, encoder, enc_set, channel, rho, layout) -> float:
-    chi = holevo(attaining_ensemble(encoder, enc_set), channel, rho, layout)
+def _crosscheck(capacity, encoder, channel, rho, layout) -> float:
+    """Holevo quantity of the attaining ensemble {1/D_A^2, V_i E}: under the
+    certified covariance each member's output is V_i sigma V_i^dag, sigma =
+    Lambda(E(rho)), and the V_i average those to 1/D_A x Tr_A sigma, so
+    chi = log2 D_A + S(Tr_A sigma) - S(sigma)."""
+    sigma = apply_channel(channel, _encode(rho, encoder, layout), layout)
+    chi = (math.log2(layout.sender_dim) + _receiver_entropy(sigma, layout)
+           - von_neumann_entropy(sigma))
     if abs(chi - capacity) > CROSSCHECK_TOL:
         raise NumericalError(
             f"attaining-ensemble Holevo {chi!r} disagrees with capacity {capacity!r}"
@@ -574,14 +581,14 @@ def _capacity(rho, channel, layout, mode, env_dim, cfg, as_cptp) -> CapacityRepo
             raise ParameterError(
                 f"env_dim {env_dim} outside [1, {d * d}] for a dim-{d} slot"
             )
-    enc_set = _certify(channel, layout, cfg)
+    _certify(channel, layout, cfg)
     entropy, vs, trace = _minimize_entropy(rho, channel, layout, dims, env_dim, cfg)
     ks = _kraus([v.reshape(env_dim, d, d) for v, d in zip(vs, dims)])
     encoder = CptpMap(tuple(ks)) if as_cptp else ks[0]
     log_da = math.log2(layout.sender_dim)
-    s_b = _receiver_entropy(channel, rho, layout)
+    s_b = _receiver_entropy(apply_channel(channel, rho, layout), layout)
     capacity = log_da + s_b - entropy
-    chi = _crosscheck(capacity, encoder, enc_set, channel, rho, layout)
+    chi = _crosscheck(capacity, encoder, channel, rho, layout)
     return CapacityReport(
         capacity_bits=capacity,
         log_sender_dim=log_da,
@@ -680,10 +687,10 @@ def closed_form_depolarizing(rho_ab, p: float, copies: int = 1) -> float:
     if copies < 1:
         raise ParameterError(f"copies must be >= 1, got {copies}")
     rho_ab, layout, channel = _depolarizing_pair(rho_ab, p)
-    s_ab = von_neumann_entropy(apply_channel(channel, rho_ab, layout))
+    out = apply_channel(channel, rho_ab, layout)
     # Tr_A of the joint output is Lambda_b(rho_b): Lambda_a preserves trace.
-    s_b = _receiver_entropy(channel, rho_ab, layout)
-    return copies * (math.log2(layout.receiver_dim) + s_b - s_ab)
+    return copies * (math.log2(layout.receiver_dim) + _receiver_entropy(out, layout)
+                     - von_neumann_entropy(out))
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +709,6 @@ def lemma2_orthogonality_check(
     dims: Sequence[int],
     unitary: np.ndarray | None = None,
     seed: int = 0,
-    max_pairs: int | None = None,
 ) -> Lemma2Report:
     """Check that distinct displacement labels give orthogonal states.
 
@@ -712,21 +718,11 @@ def lemma2_orthogonality_check(
     """
     rho, layout = bell_copies(dims)
     enc_set = local_encoding_set(layout.sender_dims)
-    rng = np.random.default_rng(seed)
     if unitary is None:
-        unitary = random_unitary(layout.sender_dim, rng)
+        unitary = random_unitary(layout.sender_dim, np.random.default_rng(seed))
     base = encode_with_unitary(rho, unitary, layout)
     pis = [encode_with_unitary(base, v, layout) for v in enc_set.operators]
-
-    n = len(pis)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        chosen = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[int(c)] for c in chosen]
-    max_cross = 0.0
-    for i, j in pairs:
-        overlap = abs((pis[i] * pis[j].T).sum())
-        max_cross = max(max_cross, overlap)
+    max_cross = max(abs((a * b.T).sum()) for a, b in itertools.combinations(pis, 2))
     max_purity = max(abs((pi * pi.T).sum() - 1.0) for pi in pis)
     return Lemma2Report(float(max_cross), float(max_purity))
 

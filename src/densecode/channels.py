@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .displacement import displacement_op
+from .displacement import LocalEncodingSet, displacement_op
 from .errors import (
     ChannelError,
     LayoutError,
@@ -175,14 +175,6 @@ class CptpMap:
             k.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 
-    @property
-    def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
-
 
 def depolarizing_probs(d: int, p: float) -> SinglePartyPauliSpec:
     """Single-party table for a d-dimensional depolarizing channel.
@@ -310,16 +302,12 @@ def _component_partitions(mu: np.ndarray):
     yield from split((1 << parties) - 1)
 
 
-def fully_correlated_probs(
-    parties: int, q: Sequence[float], d: int = 2
-) -> PauliChannelSpec:
-    """All parties suffer the identical qubit Pauli error, sampled once.
+def fully_correlated_probs(parties: int, q: Sequence[float]) -> PauliChannelSpec:
+    """All qubit parties suffer the identical Pauli error, sampled once.
 
     ``q`` holds the four probabilities in sigma order (identity, sigma_1,
     sigma_2, sigma_3).
     """
-    if d != 2:
-        raise ParameterError("fully correlated construction is defined for d=2")
     if parties < 1:
         raise ParameterError(f"need at least one party, got {parties}")
     q = np.asarray(q, dtype=float)
@@ -517,15 +505,17 @@ def verify_covariance(
     """Max deviation of the covariance property over random states.
 
     Checks Lambda(V rho V^dag) = V Lambda(rho) V^dag for every operator in
-    the encoding set (extended by identity on the receiver slot).  Accepts a
-    Pauli spec or any full-space CPTP map.
+    ``enc_set``, a LocalEncodingSet or a sequence of sender-space unitaries
+    such as ``sender_generators`` (each extended by identity on the receiver
+    slot).  Accepts a Pauli spec or any full-space CPTP map.
     """
+    ops = enc_set.operators if isinstance(enc_set, LocalEncodingSet) else enc_set
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         rho = random_density_matrix(layout.total_dim, rng)
         out = apply_channel(spec, rho, layout)
-        for v in enc_set.operators:
+        for v in ops:
             v = v[None]
             lhs = apply_channel(spec, _conjugate_leading(rho, v, layout.sender_dim), layout)
             rhs = _conjugate_leading(out, v, layout.sender_dim)
@@ -543,26 +533,39 @@ def channel_to_json(spec: PauliChannelSpec) -> dict:
     }
 
 
+def _field(doc: dict, name: str):
+    if name not in doc:
+        raise ChannelError(f"channel: missing required field {name!r}")
+    return doc[name]
+
+
 def channel_from_json(doc: dict) -> PauliChannelSpec:
     """Parse either the joint form or the singles+mu correlated form.
 
     Joint form: ``{"party_dims", "joint", "shape", "acts_on"?}``.
     Correlated form: ``{"parties", "d", "singles", "mu", "acts_on"?}`` where
     ``singles`` is one d x d table per party and ``mu`` the symmetric
-    correlation matrix.
+    correlation matrix.  A missing or mis-sized field raises ChannelError
+    naming it.
     """
+    if not isinstance(doc, dict):
+        raise ChannelError(f"channel: expected an object, got {type(doc).__name__}")
     if "joint" in doc:
-        party_dims = tuple(int(d) for d in doc["party_dims"])
-        joint = np.asarray(doc["joint"], dtype=float).reshape(
-            tuple(int(s) for s in doc["shape"])
-        )
+        party_dims = tuple(int(d) for d in _field(doc, "party_dims"))
+        joint = np.asarray(doc["joint"], dtype=float)
+        shape = tuple(int(s) for s in _field(doc, "shape"))
+        if joint.size != math.prod(shape):
+            raise ChannelError(f"channel: 'joint' has {joint.size} entries, "
+                               f"'shape' {list(shape)} needs {math.prod(shape)}")
         acts_on = doc.get("acts_on", list(range(len(party_dims))))
-        return PauliChannelSpec(party_dims, joint, tuple(acts_on))
-    parties = int(doc["parties"])
-    d = int(doc["d"])
-    singles = [SinglePartyPauliSpec(d, np.asarray(t, dtype=float)) for t in doc["singles"]]
+        return PauliChannelSpec(party_dims, joint.reshape(shape), tuple(acts_on))
+    parties = int(_field(doc, "parties"))
+    d = int(_field(doc, "d"))
+    singles = [SinglePartyPauliSpec(d, np.asarray(t, dtype=float))
+               for t in _field(doc, "singles")]
     if len(singles) != parties:
-        raise ChannelError(f"expected {parties} singles tables, got {len(singles)}")
-    corr = CorrelationSpec(np.asarray(doc["mu"], dtype=float))
+        raise ChannelError(f"channel: 'singles' has {len(singles)} tables, "
+                           f"'parties' is {parties}")
+    corr = CorrelationSpec(np.asarray(_field(doc, "mu"), dtype=float))
     acts_on = doc.get("acts_on")
     return correlated_probs(singles, corr, acts_on)

@@ -189,10 +189,12 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
         if "joint" in chan_cfg:
             channel = channel_from_json(chan_cfg)
         else:
-            singles = [
-                SinglePartyPauliSpec(dims[i], np.asarray(t, dtype=float))
-                for i, t in enumerate(_require(chan_cfg, "singles", "channel"))
-            ]
+            tables = _require(chan_cfg, "singles", "channel")
+            if len(tables) != len(dims):
+                raise ConfigError(f"channel: 'singles' has {len(tables)} tables "
+                                  f"for {len(dims)} entries of 'dims'")
+            singles = [SinglePartyPauliSpec(d, np.asarray(t, dtype=float))
+                       for d, t in zip(dims, tables)]
             corr = _mu_matrix(_require(chan_cfg, "mu", "channel"), len(dims))
             channel = correlated_probs(singles, corr)
         closed = closed_form_bell_correlated(channel, dims)

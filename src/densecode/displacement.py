@@ -12,6 +12,7 @@ phase-sensitive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +22,8 @@ import numpy as np
 from .errors import LayoutError, ParameterError, SizeLimitError
 from .linalg import kron_all
 
-ENCODING_SET_CAP = 4096  # on D_A^2; the attaining-ensemble check is quadratic
+# On D_A^2: the set holds D_A^4 complex entries.  Capacity runs never build it.
+ENCODING_SET_CAP = 4096
 
 
 def displacement_op(d: int, m: int, n: int) -> np.ndarray:
@@ -113,23 +115,21 @@ def local_encoding_set(sender_dims: Sequence[int]) -> LocalEncodingSet:
         raise SizeLimitError(
             f"encoding set size {d_a * d_a} exceeds cap {ENCODING_SET_CAP}"
         )
-    per_sender = [
-        [displacement_op(d, m, n) for m, n in label_pairs(d)] for d in sender_dims
-    ]
-    ops = []
-    for combo in _lex_product(per_sender):
-        ops.append(kron_all(combo))
-    return LocalEncodingSet(sender_dims, tuple(ops))
+    per_sender = [[displacement_op(d, m, n) for m, n in label_pairs(d)]
+                  for d in sender_dims]
+    ops = tuple(kron_all(combo) for combo in itertools.product(*per_sender))
+    return LocalEncodingSet(sender_dims, ops)
 
 
-def _lex_product(factor_lists):
-    if len(factor_lists) == 1:
-        for f in factor_lists[0]:
-            yield (f,)
-        return
-    for f in factor_lists[0]:
-        for rest in _lex_product(factor_lists[1:]):
-            yield (f,) + rest
+def sender_generators(sender_dims: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Shift V_10 and clock V_01 of each sender, identity on the others: 2k
+    unitaries whose products give every member of ``local_encoding_set`` up
+    to a phase, so a linear map covariant under them is covariant under all."""
+    dims = tuple(int(d) for d in sender_dims)
+    return tuple(
+        kron_all([np.eye(math.prod(dims[:j])), displacement_op(d, m, n),
+                  np.eye(math.prod(dims[j + 1:]))])
+        for j, d in enumerate(dims) for m, n in ((1, 0), (0, 1)))
 
 
 def twirl(enc_set: LocalEncodingSet, x) -> np.ndarray:

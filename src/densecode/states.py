@@ -67,10 +67,8 @@ def bell_diagonal(weights: Sequence[float]) -> np.ndarray:
     return rho
 
 
-def ghz_state(parties: int, d: int = 2) -> np.ndarray:
+def ghz_state(parties: int) -> np.ndarray:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on ``parties`` qubits."""
-    if d != 2:
-        raise ParameterError("GHZ construction is restricted to qubit subsystems")
     if parties < 2:
         raise ParameterError(f"need at least 2 parties, got {parties}")
     dim = check_dim(2 ** parties)

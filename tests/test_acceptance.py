@@ -132,7 +132,8 @@ def test_criterion_03_correlated_tensor():
             f"mu=1 dev {worst_full:.1e}, bipartite dev {worst_bi:.1e}")
 
 
-def test_criterion_04_covariance_certification():
+def criterion_04_channels():
+    """(name, channel, layout) of criterion 4's covariant channel families."""
     rng = np.random.default_rng(42)
     cases = []
     for d in (2, 3):
@@ -158,6 +159,11 @@ def test_criterion_04_covariance_certification():
             fully_correlated_probs(k + 1, q / q.sum()),
             SubsystemLayout([2] * k, 2),
         ))
+    return cases
+
+
+def test_criterion_04_covariance_certification():
+    cases = criterion_04_channels()
     worst = 0.0
     for name, spec, layout in cases:
         enc = local_encoding_set(layout.sender_dims)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densecode import capacity
+from densecode import capacity, cli
 from densecode.capacity import (
     EncodingEnsemble,
     OptimizerConfig,
@@ -38,9 +38,10 @@ from densecode.channels import (
     fully_correlated_probs,
     pauli_kraus,
     product_probs,
+    verify_covariance,
 )
 from densecode.cli import run_scenario
-from densecode.displacement import local_encoding_set
+from densecode.displacement import local_encoding_set, sender_generators
 from densecode.errors import (
     LayoutError,
     NonCovariantChannelError,
@@ -58,6 +59,7 @@ from densecode.linalg import (
     von_neumann_entropy,
 )
 from densecode.states import assemble_product, bell_diagonal, bell_state, ghz_state
+from test_acceptance import criterion_04_channels
 
 H_FROZEN = 1.8464393446710154  # Shannon entropy of (0.4, 0.3, 0.2, 0.1)
 QUICK = OptimizerConfig(restarts=3, max_iters=100, seed=42)
@@ -756,6 +758,80 @@ class TestCapacityNonunitary:
                 bell_state(2), identity_channel(layout), layout, "local", env_dim=5,
                 cfg=QUICK,
             )
+
+
+def enumerated_holevo(report, channel, rho, layout):
+    """Holevo quantity of the attaining ensemble over all D_A^2 members: the
+    route the capacity cross-check replaced, kept as its oracle."""
+    enc_set = local_encoding_set(layout.sender_dims)
+    return holevo(attaining_ensemble(report.encoder_at_min, enc_set), channel, rho, layout)
+
+
+class TestGeneratorCertificate:
+    """The driver certifies on the 2k sender generators and takes the Holevo
+    cross-check through the twirl, never enumerating the encoding set."""
+
+    def test_tiled_sender_slot_rejected(self):
+        rng = np.random.default_rng(3)
+        layout = SubsystemLayout([4], 2)
+        chan = product_probs([random_single(2, rng) for _ in range(3)], acts_on=(0, 0, 1))
+        for ops in (sender_generators([4]), local_encoding_set([4])):
+            dev = verify_covariance(chan, ops, layout, trials=5, seed=QUICK.seed)
+            assert dev > capacity.COVARIANCE_CERT_TOL
+        with pytest.raises(NonCovariantChannelError):
+            capacity_covariant(random_density_matrix(8, rng), chan, layout, "local", QUICK)
+
+    def test_generators_certify_criterion_4_like_the_full_set(self):
+        for name, spec, layout in criterion_04_channels():
+            for ops in (sender_generators(layout.sender_dims),
+                        local_encoding_set(layout.sender_dims)):
+                dev = verify_covariance(spec, ops, layout, trials=20, seed=42)
+                assert dev <= 1e-10, name
+
+    @pytest.mark.parametrize("family", list(SCENARIO_FAMILIES))
+    def test_crosscheck_is_the_enumerated_holevo(self, monkeypatch, family):
+        solved = []
+
+        def recording(rho, channel, layout, mode, cfg):
+            report = capacity_covariant(rho, channel, layout, mode, cfg)
+            solved.append(enumerated_holevo(report, channel, rho, layout)
+                          - report.holevo_crosscheck_bits)
+            return report
+
+        monkeypatch.setattr(cli, "capacity_covariant", recording)
+        run_scenario({**SCENARIO_FAMILIES[family], "seed": 7})
+        assert len(solved) == 1 and abs(solved[0]) <= 1e-10
+
+    def test_cptp_crosscheck_is_the_enumerated_holevo(self):
+        rng = np.random.default_rng(8)
+        layout = SubsystemLayout([2], 2)
+        chan = correlated_probs([random_single(2, rng) for _ in range(2)],
+                                CorrelationSpec.uniform(2, 0.4))
+        rho = random_density_matrix(4, rng)
+        report = capacity_nonunitary(rho, chan, layout, "local", env_dim=2, cfg=QUICK)
+        assert isinstance(report.encoder_at_min, CptpMap)
+        enumerated = enumerated_holevo(report, chan, rho, layout)
+        assert abs(enumerated - report.holevo_crosscheck_bits) <= 1e-10
+
+    def test_capacity_runs_never_enumerate(self, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("a capacity run enumerated the encoding set")
+
+        for name in ("local_encoding_set", "attaining_ensemble", "holevo"):
+            monkeypatch.setattr(capacity, name, banned)
+        (row,) = run_scenario({**SCENARIO_FAMILIES["bell-correlated-global"], "seed": 7})
+        assert row.agreement is True
+        layout = SubsystemLayout([2], 2)
+        capacity_nonunitary(bell_state(2), identity_channel(layout), layout, "local",
+                            env_dim=2, cfg=QUICK)
+
+    def test_ghz_full_copies_4_past_the_encoding_set_cap(self):
+        # D_A^2 = 16384 is above ENCODING_SET_CAP, which rejected this run
+        # while the driver enumerated the set.
+        (row,) = run_scenario({
+            "scenario": "ghz-full", "state": {"copies": 4},
+            "channel": {"q": [0.85, 0.05, 0.05, 0.05]}, "optimizer": {"restarts": 1}})
+        assert abs(row.optimizer_bits - 8.0) <= 1e-6
 
 
 class TestClosedForms:

@@ -130,6 +130,28 @@ class TestScenarios:
         assert capsys.readouterr().err == f"error: optimizer: {message}\n"
 
 
+BELL_MATRIX = {"re": [[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]]}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"scenario": "custom", "channel": {}}, "'parties'"),
+    ({"scenario": "custom", "channel": {"joint": [1, 0, 0, 0]}}, "'party_dims'"),
+    ({"scenario": "custom",
+      "channel": {"joint": [1, 0, 0], "party_dims": [2], "shape": [4]}}, "'joint'"),
+    ({"scenario": "bell-correlated", "state": {"dims": [2]},
+      "channel": {"singles": [[[0.7, 0.1], [0.1, 0.1]]] * 2, "mu": 0.5}}, "'singles'"),
+])
+def test_malformed_channel_named_in_error(tmp_path, capsys, cfg, field):
+    if cfg["scenario"] == "custom":
+        cfg["state"] = {"matrix": BELL_MATRIX,
+                        "layout": {"sender_dims": [2], "receiver_dim": 2}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["capacity", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: channel: ") and field in err
+
+
 class TestSweep:
     def test_depolarizing_sweep_monotone(self):
         cfg = {

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from densecode.displacement import (
     displacement_op,
     label_pairs,
     local_encoding_set,
+    sender_generators,
     twirl,
     verify_displacement_algebra,
 )
@@ -106,6 +109,20 @@ class TestLocalEncodingSet:
     def test_enumeration_cap(self):
         with pytest.raises(SizeLimitError):
             local_encoding_set([9, 9])
+
+    @pytest.mark.parametrize("dims", [[2], [3], [2, 3], [3, 2, 2]])
+    def test_generator_products_give_every_member(self, dims):
+        # Member (m_1, n_1, ..., m_k, n_k) is shift_j^m_j clock_j^n_j over j,
+        # up to a phase: |tr(V^dag W)| = D_A for unitaries V, W.
+        gens = sender_generators(dims)
+        enc = local_encoding_set(dims)
+        assert len(gens) == 2 * len(dims)
+        for labels, member in zip(itertools.product(*[label_pairs(d) for d in dims]),
+                                  enc.operators):
+            word = np.eye(enc.sender_dim)
+            for g, power in zip(gens, [x for lab in labels for x in lab]):
+                word = word @ np.linalg.matrix_power(g, power)
+            assert abs(abs(np.trace(member.conj().T @ word)) - enc.sender_dim) < 1e-12
 
 
 class TestTwirl:

@@ -133,8 +133,6 @@ class TestGhz:
 
     def test_rejects_unsupported(self):
         with pytest.raises(ParameterError):
-            ghz_state(4, d=3)
-        with pytest.raises(ParameterError):
             ghz_state(1)
 
 
