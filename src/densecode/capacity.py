@@ -148,10 +148,8 @@ def _encode(rho, encoder, layout: SubsystemLayout) -> np.ndarray:
     """Encode by a unitary or a CptpMap on the sender slots; an encoder whose
     operators are not sender_dim x sender_dim raises LayoutError."""
     if isinstance(encoder, CptpMap):
-        ks = np.stack(encoder.kraus)
-    else:
-        ks = as_complex_matrix(encoder, "encoder")[None]
-    return _encode_with_kraus(rho, ks, layout)
+        return _encode_with_kraus(rho, encoder.kraus, layout)
+    return _encode_with_kraus(rho, as_complex_matrix(encoder, "encoder")[None], layout)
 
 
 def holevo(
@@ -174,19 +172,14 @@ def attaining_ensemble(encoder_min, enc_set: LocalEncodingSet) -> EncodingEnsemb
     """Uniform ensemble of the encoding set composed with the minimizer.
 
     For a unitary U the members are V_i @ U; for a CPTP map the members
-    conjugate its output by V_i.
+    conjugate its output by V_i, Kraus stack V_i @ K.
     """
-    n = len(enc_set)
-    p = 1.0 / n
+    p = 1.0 / len(enc_set)
     if isinstance(encoder_min, CptpMap):
-        members = tuple(
-            (p, CptpMap(tuple(v @ k for k in encoder_min.kraus)))
-            for v in enc_set.operators
-        )
-    else:
-        u = as_complex_matrix(encoder_min, "encoder")
-        members = tuple((p, v @ u) for v in enc_set.operators)
-    return EncodingEnsemble(members)
+        return EncodingEnsemble(tuple((p, CptpMap(v @ encoder_min.kraus))
+                                      for v in enc_set.operators))
+    u = as_complex_matrix(encoder_min, "encoder")
+    return EncodingEnsemble(tuple((p, v @ u) for v in enc_set.operators))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +577,7 @@ def _capacity(rho, channel, layout, mode, env_dim, cfg, as_cptp) -> CapacityRepo
     _certify(channel, layout, cfg)
     entropy, vs, trace = _minimize_entropy(rho, channel, layout, dims, env_dim, cfg)
     ks = _kraus([v.reshape(env_dim, d, d) for v, d in zip(vs, dims)])
-    encoder = CptpMap(tuple(ks)) if as_cptp else ks[0]
+    encoder = CptpMap(ks) if as_cptp else ks[0]
     log_da = math.log2(layout.sender_dim)
     s_b = _receiver_entropy(apply_channel(channel, rho, layout), layout)
     capacity = log_da + s_b - entropy
@@ -732,6 +725,8 @@ def depolarizing_invariance_check(
 ) -> float:
     """Max entropy change under random local unitaries before a depolarizing
     channel; the output entropy should not depend on them."""
+    if trials < 1:
+        raise ParameterError(f"need trials >= 1, got {trials}")
     rho_ab, layout, channel = _depolarizing_pair(rho_ab, p)
     base = von_neumann_entropy(apply_channel(channel, rho_ab, layout))
     rng = np.random.default_rng(seed)

@@ -14,7 +14,8 @@ symplectic Fourier transform of its error rates, so ``apply_pauli`` never
 sums the terms: it gathers the shifted diagonals of the state, multiplies by
 the eigenvalues between two products with the group Fourier matrix, and
 scatters back.  The kernel for one channel and layout is four D x D arrays,
-O(D^2) memory whatever the number of terms.
+O(D^2) memory whatever the number of terms; the adjoint channel runs on the
+same kernel with the conjugate eigenvalues.
 
 Kraus maps, their adjoints and the covariance check conjugate through
 ``linalg._conjugate_leading``, which applies a stack of operators to the
@@ -38,7 +39,9 @@ from .errors import (
     NumericalError,
     ParameterError,
     ProbabilityError,
+    REQUIRED,
     SizeLimitError,
+    json_field,
 )
 from .linalg import (
     SubsystemLayout,
@@ -156,24 +159,21 @@ class PauliChannelSpec:
 
 @dataclass(frozen=True, eq=False)
 class CptpMap:
-    """Kraus representation of a completely positive trace-preserving map."""
+    """Completely positive trace-preserving map as one read-only (T, n, m) Kraus stack."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        if not self.kraus:
-            raise ChannelError("need at least one Kraus operator")
-        ops = tuple(as_complex_matrix(k, "kraus") for k in self.kraus)
-        shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
-            raise ChannelError("all Kraus operators must share one shape")
-        completeness = sum(k.conj().T @ k for k in ops)
-        dev = np.abs(completeness - np.eye(shape[1])).max()
+        ops = [as_complex_matrix(k, "kraus") for k in self.kraus]
+        if not ops or any(k.shape != ops[0].shape for k in ops):
+            raise ChannelError("need one or more Kraus operators, all of one shape")
+        kraus = np.stack(ops)
+        completeness = (kraus.conj().transpose(0, 2, 1) @ kraus).sum(axis=0)
+        dev = np.abs(completeness - np.eye(kraus.shape[2])).max()
         if dev > 1e-9:
             raise ChannelError(f"Kraus completeness violated by {dev:.3e}")
-        for k in ops:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
+        kraus.setflags(write=False)
+        object.__setattr__(self, "kraus", kraus)
 
 
 def depolarizing_probs(d: int, p: float) -> SinglePartyPauliSpec:
@@ -415,22 +415,24 @@ def apply_pauli(
     channel object per layout and holds O(D^2) entries for any number of
     terms; no per-term operator or Choi matrix is formed.
     """
-    rho = as_complex_matrix(rho, "rho")
-    total = layout.total_dim
-    if rho.shape != (total, total):
-        raise LayoutError(
-            f"state dim {rho.shape[0]} does not match layout total {total}"
-        )
     kernel = _weyl_kernel(spec, layout)
+    return _weyl_apply(kernel, as_complex_matrix(rho, "rho"), kernel.eigen)
+
+
+def _weyl_apply(kernel: _WeylKernel, rho: np.ndarray, eigen: np.ndarray) -> np.ndarray:
+    """``kernel``'s gather, Fourier products and scatter around a multiply by
+    ``eigen``: its eigenvalues for the channel, conjugated for the adjoint."""
+    if rho.shape != eigen.shape:
+        raise LayoutError(f"state dim {rho.shape[0]} does not match layout total {len(eigen)}")
     shifted = np.take(rho, kernel.gather)
-    result = ((shifted @ kernel.fourier) * kernel.eigen) @ kernel.inverse
+    result = ((shifted @ kernel.fourier) * eigen) @ kernel.inverse
     # Row delta = 0 holds the diagonal, of the state and of the output.
     trace_dev = abs(result[0].sum() - shifted[0].sum())
     if trace_dev > 1e-10:
         raise NumericalError(f"channel failed to preserve trace by {trace_dev:.3e}")
-    out = np.empty(total * total, dtype=complex)
-    out[kernel.gather] = result
-    return out.reshape(total, total)
+    out = np.empty(rho.shape, dtype=complex)
+    out.reshape(-1)[kernel.gather] = result
+    return out
 
 
 def apply_cptp(
@@ -445,7 +447,7 @@ def apply_cptp(
     perm = slots + [s for s in range(len(dims)) if s not in slots]
     front = permute_slots(rho, dims, perm)
     moved = [dims[s] for s in perm]
-    out = _conjugate_leading(front, np.stack(cptp.kraus), math.prod(moved[:len(slots)]))
+    out = _conjugate_leading(front, cptp.kraus, math.prod(moved[:len(slots)]))
     out = permute_slots(out, moved, [perm.index(s) for s in range(len(dims))])
     trace_dev = abs(out.trace() - rho.trace())
     if trace_dev > 1e-9:
@@ -464,7 +466,7 @@ def pauli_kraus(spec: PauliChannelSpec) -> CptpMap:
             for p, l in enumerate(idx)
         ]
         ops.append(np.sqrt(prob) * kron_all(factors))
-    return CptpMap(tuple(ops))
+    return CptpMap(ops)
 
 
 def apply_channel(channel, rho, layout: SubsystemLayout) -> np.ndarray:
@@ -480,17 +482,16 @@ def adjoint_map(channel, layout: SubsystemLayout):
     """Lambda^dag on ``layout``: the map with tr[Y Lambda(X)] = tr[Lambda^dag(Y) X].
 
     A Pauli channel's adjoint is the Pauli channel with every label (m, n)
-    mapped to (-m, -n) mod d, since V_{-m,-n} is V_mn^dag up to a phase; a
-    Kraus map's is Y -> sum_t K_t^dag Y K_t.
+    mapped to (-m, -n) mod d, since V_{-m,-n} is V_mn^dag up to a phase; with
+    real error rates that is the conjugate eigenvalues on the channel's own
+    cached Weyl kernel.  A Kraus map's is Y -> sum_t K_t^dag Y K_t.
     """
     if isinstance(channel, PauliChannelSpec):
-        negated = [[(-(l // d) % d) * d + (-(l % d) % d) for l in range(d * d)]
-                   for d in channel.party_dims]
-        spec = PauliChannelSpec(
-            channel.party_dims, channel.joint[np.ix_(*negated)], channel.acts_on)
-        return lambda y: apply_pauli(spec, y, layout)
+        kernel = _weyl_kernel(channel, layout)
+        eigen = kernel.eigen.conj()
+        return lambda y: _weyl_apply(kernel, y, eigen)
     if isinstance(channel, CptpMap):
-        daggers = np.stack(channel.kraus).conj().transpose(0, 2, 1)
+        daggers = channel.kraus.conj().transpose(0, 2, 1)
         return lambda y: _conjugate_leading(y, daggers, layout.total_dim)
     raise ChannelError(f"unsupported channel type {type(channel).__name__}")
 
@@ -507,9 +508,12 @@ def verify_covariance(
     Checks Lambda(V rho V^dag) = V Lambda(rho) V^dag for every operator in
     ``enc_set``, a LocalEncodingSet or a sequence of sender-space unitaries
     such as ``sender_generators`` (each extended by identity on the receiver
-    slot).  Accepts a Pauli spec or any full-space CPTP map.
+    slot).  Accepts a Pauli spec or any full-space CPTP map.  No trials or no
+    operators leave nothing to certify and raise ParameterError.
     """
     ops = enc_set.operators if isinstance(enc_set, LocalEncodingSet) else enc_set
+    if trials < 1 or not len(ops):
+        raise ParameterError(f"need trials >= 1 and operators, got {trials} and {len(ops)}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -533,39 +537,36 @@ def channel_to_json(spec: PauliChannelSpec) -> dict:
     }
 
 
-def _field(doc: dict, name: str):
-    if name not in doc:
-        raise ChannelError(f"channel: missing required field {name!r}")
-    return doc[name]
-
-
 def channel_from_json(doc: dict) -> PauliChannelSpec:
     """Parse either the joint form or the singles+mu correlated form.
 
     Joint form: ``{"party_dims", "joint", "shape", "acts_on"?}``.
     Correlated form: ``{"parties", "d", "singles", "mu", "acts_on"?}`` where
     ``singles`` is one d x d table per party and ``mu`` the symmetric
-    correlation matrix.  A missing or mis-sized field raises ChannelError
-    naming it.
+    correlation matrix, or one degree for every pair.  A missing, mistyped or
+    mis-sized field raises ChannelError naming it.
     """
     if not isinstance(doc, dict):
         raise ChannelError(f"channel: expected an object, got {type(doc).__name__}")
+
+    def read(name: str, kind, default=REQUIRED):
+        return json_field(doc, f"channel.{name}", kind, default, ChannelError)
+
     if "joint" in doc:
-        party_dims = tuple(int(d) for d in _field(doc, "party_dims"))
-        joint = np.asarray(doc["joint"], dtype=float)
-        shape = tuple(int(s) for s in _field(doc, "shape"))
+        party_dims = read("party_dims", list)
+        joint = np.asarray(read("joint", list), dtype=float)
+        shape = tuple(int(s) for s in read("shape", list))
         if joint.size != math.prod(shape):
             raise ChannelError(f"channel: 'joint' has {joint.size} entries, "
                                f"'shape' {list(shape)} needs {math.prod(shape)}")
-        acts_on = doc.get("acts_on", list(range(len(party_dims))))
+        acts_on = read("acts_on", list, range(len(party_dims)))
         return PauliChannelSpec(party_dims, joint.reshape(shape), tuple(acts_on))
-    parties = int(_field(doc, "parties"))
-    d = int(_field(doc, "d"))
-    singles = [SinglePartyPauliSpec(d, np.asarray(t, dtype=float))
-               for t in _field(doc, "singles")]
+    parties = read("parties", int)
+    d = read("d", int)
+    singles = [SinglePartyPauliSpec(d, t) for t in read("singles", list)]
     if len(singles) != parties:
         raise ChannelError(f"channel: 'singles' has {len(singles)} tables, "
                            f"'parties' is {parties}")
-    corr = CorrelationSpec(np.asarray(_field(doc, "mu"), dtype=float))
-    acts_on = doc.get("acts_on")
-    return correlated_probs(singles, corr, acts_on)
+    mu = read("mu", (float, list))
+    corr = CorrelationSpec(mu) if isinstance(mu, list) else CorrelationSpec.uniform(parties, mu)
+    return correlated_probs(singles, corr, read("acts_on", list, None))

@@ -46,7 +46,7 @@ from .channels import (
     verify_covariance,
 )
 from .displacement import local_encoding_set, twirl, verify_displacement_algebra
-from .errors import DensecodeError, ParameterError
+from .errors import ConfigError, DensecodeError, ParameterError, json_field
 from .linalg import (
     SubsystemLayout,
     random_hermitian,
@@ -80,11 +80,6 @@ SCENARIOS = (
     "depolarizing",
     "custom",
 )
-VERIFY_SUITES = ("algebra", "covariance", "lemma2", "twirl", "depol-invariance", "all")
-
-
-class ConfigError(DensecodeError):
-    """Scenario configuration is malformed; message names the field."""
 
 
 @dataclass
@@ -131,94 +126,64 @@ def rows_to_json(rows) -> str:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def _require(cfg: dict, field: str, context: str):
-    if field not in cfg:
-        raise ConfigError(f"{context}: missing required field {field!r}")
-    return cfg[field]
-
-
 def _optimizer_config(cfg: dict, seed: int) -> OptimizerConfig:
-    opt = cfg.get("optimizer", {})
-    if not isinstance(opt, dict):
-        raise ConfigError("optimizer: expected an object")
-    known = {"restarts", "max_iters", "seed"}
-    unknown = set(opt) - known
+    opt = json_field(cfg, "optimizer", dict, {})
+    unknown = set(opt) - {"restarts", "max_iters", "seed"}
     if unknown:
         raise ConfigError(f"optimizer: unknown fields {sorted(unknown)}")
     try:
         return OptimizerConfig(
-            restarts=int(opt.get("restarts", 16)),
-            max_iters=int(opt.get("max_iters", 200)),
-            seed=int(opt.get("seed", seed)),
+            restarts=json_field(opt, "optimizer.restarts", int, OptimizerConfig.restarts),
+            max_iters=json_field(opt, "optimizer.max_iters", int, OptimizerConfig.max_iters),
+            seed=json_field(opt, "optimizer.seed", int, seed),
         )
     except ParameterError as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
 
 
-def _mu_matrix(raw, parties: int) -> CorrelationSpec:
-    if isinstance(raw, (int, float)):
-        return CorrelationSpec.uniform(parties, float(raw))
-    return CorrelationSpec(np.asarray(raw, dtype=float))
-
-
-def _complex_matrix_from_json(doc: dict) -> np.ndarray:
-    re = np.asarray(_require(doc, "re", "state.matrix"), dtype=float)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-    if re.shape != im.shape:
-        raise ConfigError("state.matrix: re and im shapes differ")
-    return re + 1j * im
-
-
 def run_scenario(cfg: dict) -> list[ResultRow]:
     """Execute one scenario config and return its result rows."""
-    scenario = _require(cfg, "scenario", "config")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config: expected an object, got {type(cfg).__name__}")
+    scenario = json_field(cfg, "scenario", str)
     if scenario not in SCENARIOS:
         raise ConfigError(
             f"scenario: unknown value {scenario!r}; expected one of {SCENARIOS}"
         )
-    seed = int(cfg.get("seed", 42))
+    seed = json_field(cfg, "seed", int, OptimizerConfig.seed)
     opt_cfg = _optimizer_config(cfg, seed)
-    run_optimizer = bool(cfg.get("run_optimizer", True))
-    mode = cfg.get("mode", "local")
-    state_cfg = cfg.get("state", {})
-    chan_cfg = cfg.get("channel", {})
+    run_optimizer = json_field(cfg, "run_optimizer", bool, True)
+    mode = json_field(cfg, "mode", str, "local")
+    state_cfg = json_field(cfg, "state", dict, {})
+    chan_cfg = json_field(cfg, "channel", dict, {})
 
     if scenario == "bell-correlated":
-        dims = [int(d) for d in _require(state_cfg, "dims", "state")]
+        dims = json_field(state_cfg, "state.dims", list)
         rho, layout = bell_copies(dims)
-        if "joint" in chan_cfg:
-            channel = channel_from_json(chan_cfg)
-        else:
-            tables = _require(chan_cfg, "singles", "channel")
-            if len(tables) != len(dims):
-                raise ConfigError(f"channel: 'singles' has {len(tables)} tables "
-                                  f"for {len(dims)} entries of 'dims'")
-            singles = [SinglePartyPauliSpec(d, np.asarray(t, dtype=float))
-                       for d, t in zip(dims, tables)]
-            corr = _mu_matrix(_require(chan_cfg, "mu", "channel"), len(dims))
-            channel = correlated_probs(singles, corr)
+        # The correlated form's parties and d are the copies and their dim.
+        channel = channel_from_json({**chan_cfg, "parties": len(dims), "d": dims[0]})
         closed = closed_form_bell_correlated(channel, dims)
     elif scenario == "bell-diagonal-full":
-        weights = [float(w) for w in _require(state_cfg, "weights", "state")]
-        copies = int(state_cfg.get("copies", 1))
-        q = [float(x) for x in _require(chan_cfg, "q", "channel")]
+        weights = json_field(state_cfg, "state.weights", list)
+        copies = json_field(state_cfg, "state.copies", int, 1)
+        q = json_field(chan_cfg, "channel.q", list)
         single = bell_diagonal(weights)
         rho, layout = assemble_product([single] * copies, [(2, 2)] * copies)
         acts_on = tuple(range(copies)) + (copies,) * copies
         channel = fully_correlated_probs(2 * copies, q).with_acts_on(acts_on)
         closed = closed_form_bd_fully_correlated(copies, weights)
     elif scenario == "ghz-full":
-        k = int(_require(state_cfg, "copies", "state"))
+        k = json_field(state_cfg, "state.copies", int)
         parties = 2 * k
         rho = ghz_state(parties)
         layout = SubsystemLayout([2] * (parties - 1), 2)
-        q = [float(x) for x in _require(chan_cfg, "q", "channel")]
+        q = json_field(chan_cfg, "channel.q", list)
         channel = fully_correlated_probs(parties, q)
         closed = closed_form_ghz_fully_correlated(k)
     elif scenario == "depolarizing":
-        d = int(state_cfg.get("d", 2))
-        copies = int(state_cfg.get("copies", 1))
-        p = float(_require(chan_cfg, "p", "channel"))
+        d = json_field(state_cfg, "state.d", int, 2)
+        copies = json_field(state_cfg, "state.copies", int, 1)
+        p = json_field(chan_cfg, "channel.p", float)
         single = bell_state(d)
         closed = closed_form_depolarizing(single, p, copies)
         rho, layout = assemble_product([single] * copies, [(d, d)] * copies)
@@ -226,13 +191,17 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
         acts_on = tuple(range(copies)) + (copies,) * copies
         channel = product_probs([dep] * (2 * copies), acts_on)
     else:  # custom
-        matrix = _complex_matrix_from_json(_require(state_cfg, "matrix", "state"))
-        layout_cfg = _require(state_cfg, "layout", "state")
+        matrix = json_field(state_cfg, "state.matrix", dict)
+        re = np.asarray(json_field(matrix, "state.matrix.re", list), dtype=float)
+        im = np.asarray(json_field(matrix, "state.matrix.im", list, 0 * re), dtype=float)
+        if re.shape != im.shape:
+            raise ConfigError("state.matrix: re and im shapes differ")
+        layout_cfg = json_field(state_cfg, "state.layout", dict)
         layout = SubsystemLayout(
-            _require(layout_cfg, "sender_dims", "state.layout"),
-            _require(layout_cfg, "receiver_dim", "state.layout"),
+            json_field(layout_cfg, "state.layout.sender_dims", list),
+            json_field(layout_cfg, "state.layout.receiver_dim", int),
         )
-        rho = validate_density_matrix(matrix, layout.total_dim)
+        rho = validate_density_matrix(re + 1j * im, layout.total_dim)
         channel = channel_from_json(chan_cfg)
         closed = None
 
@@ -253,18 +222,15 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
 
 
 def _set_path(cfg: dict, path: str, value: float):
-    keys = path.split(".")
+    """Set the field at the dotted ``path``; an array entry's key is its index."""
+    *keys, leaf = path.split(".")
     node = cfg
-    for key in keys[:-1]:
-        if isinstance(node, list):
-            node = node[int(key)]
-        else:
-            node = node.setdefault(key, {})
-    leaf = keys[-1]
-    if isinstance(node, list):
-        node[int(leaf)] = value
-    else:
-        node[leaf] = value
+    try:
+        for key in keys:
+            node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+        node[int(leaf) if isinstance(node, list) else leaf] = value
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep: cannot set {path!r} in this config") from exc
 
 
 def run_sweep(cfg: dict, param: str, start: float, stop: float, steps: int):
@@ -394,6 +360,7 @@ _SUITE_RUNNERS = {
     "twirl": _verify_twirl,
     "depol-invariance": _verify_depol_invariance,
 }
+VERIFY_SUITES = (*_SUITE_RUNNERS, "all")
 
 
 def run_verify(suite: str, seed: int = 42, out=None) -> int:
@@ -456,19 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cap = sub.add_parser("capacity", help="run one scenario config")
-    cap.add_argument("--config", required=True, help="scenario JSON file")
-    cap.add_argument("--out", help="output file (.csv or .json)")
-    cap.add_argument("--json", action="store_true", help="print JSON instead of CSV")
+    rows = argparse.ArgumentParser(add_help=False)  # options of both row commands
+    rows.add_argument("--config", required=True, help="scenario JSON file")
+    rows.add_argument("--out", help="output file (.csv or .json)")
+    rows.add_argument("--json", action="store_true", help="print JSON instead of CSV")
+    sub.add_parser("capacity", parents=[rows], help="run one scenario config")
 
-    sweep = sub.add_parser("sweep", help="sweep one scalar config field")
-    sweep.add_argument("--config", required=True)
+    sweep = sub.add_parser("sweep", parents=[rows], help="sweep one scalar config field")
     sweep.add_argument("--param", required=True, help="dotted path, e.g. channel.p")
     sweep.add_argument("--from", dest="start", type=float, required=True)
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
-    sweep.add_argument("--out", help="output file (.csv or .json)")
-    sweep.add_argument("--json", action="store_true", help="print JSON instead of CSV")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
@@ -479,22 +444,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "capacity":
-            rows = run_scenario(_load_config(args.config))
-            _emit(rows, args.out, args.json)
-            return 0 if all(r.passed() for r in rows) else 1
-        if args.command == "sweep":
-            rows = run_sweep(
-                _load_config(args.config), args.param, args.start, args.stop, args.steps
-            )
-            _emit(rows, args.out, args.json)
-            return 0 if all(r.passed() for r in rows) else 1
         if args.command == "verify":
             return run_verify(args.suite, args.seed)
+        cfg = _load_config(args.config)
+        rows = (run_scenario(cfg) if args.command == "capacity" else
+                run_sweep(cfg, args.param, args.start, args.stop, args.steps))
+        _emit(rows, args.out, args.json)
+        return 0 if all(r.passed() for r in rows) else 1
     except DensecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the typed JSON field read."""
+
+import json
 
 
 class DensecodeError(Exception):
@@ -35,3 +37,43 @@ class NonCovariantChannelError(DensecodeError):
 
 class OptimizerDivergedError(DensecodeError):
     """No optimizer restart produced a converged result."""
+
+
+class ConfigError(DensecodeError):
+    """Scenario configuration is malformed; message names the field."""
+
+
+REQUIRED = object()
+
+# JSON types by the Python type a field is read as; arrays hold numbers.
+JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+              dict: "an object", list: "an array of numbers"}
+
+
+def _is(value, kind) -> bool:
+    """Whether a JSON value has ``kind``, a key of JSON_TYPES or a tuple of
+    them.  An integral number counts as an integer, a boolean as no number."""
+    if isinstance(kind, tuple):
+        return any(_is(value, k) for k in kind)
+    if kind is list:
+        return isinstance(value, list) and all(_is(x, (float, list)) for x in value)
+    if kind in (int, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and (
+            kind is float or isinstance(value, int) or value.is_integer())
+    return isinstance(value, kind)
+
+
+def json_field(doc: dict, path: str, kind, default=REQUIRED, error=ConfigError):
+    """Field of ``doc`` at the last key of the dotted ``path``, of JSON type
+    ``kind`` (see ``_is``; integers come back as int), or ``default`` when
+    absent.  A missing field or another type raises ``error`` naming the field."""
+    parent, _, key = path.rpartition(".")
+    if key not in doc:
+        if default is REQUIRED:
+            raise error(f"{parent or 'config'}: missing required field {key!r}")
+        return default
+    value = doc[key]
+    if not _is(value, kind):
+        names = [JSON_TYPES[k] for k in (kind if isinstance(kind, tuple) else (kind,))]
+        raise error(f"{path}: expected {' or '.join(names)}, got {json.dumps(value)[:40]}")
+    return int(value) if kind is int else value

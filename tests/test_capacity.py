@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densecode import capacity, cli
+from densecode import capacity, channels, cli
 from densecode.capacity import (
     EncodingEnsemble,
     OptimizerConfig,
@@ -30,6 +30,7 @@ from densecode.capacity import (
 from densecode.channels import (
     CorrelationSpec,
     CptpMap,
+    PauliChannelSpec,
     SinglePartyPauliSpec,
     adjoint_map,
     apply_channel,
@@ -723,6 +724,33 @@ class TestCapacityCovariant:
         assert statuses == [0] * 16
 
 
+class TestOneKernelPerChannel:
+    def test_global_run_builds_one_kernel_and_no_spec(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        layout = SubsystemLayout([2, 2], 2)
+        chan = correlated_probs([random_single(2, rng) for _ in range(3)],
+                                CorrelationSpec.uniform(3, 0.4))
+        rho = random_density_matrix(8, rng)
+        specs, kernels = [], []
+        post_init = PauliChannelSpec.__post_init__
+
+        def counting_post_init(spec):
+            specs.append(spec)
+            post_init(spec)
+
+        def counting_kernel(*arrays):
+            kernels.append(real_kernel(*arrays))
+            return kernels[-1]
+
+        real_kernel = channels._WeylKernel
+        monkeypatch.setattr(PauliChannelSpec, "__post_init__", counting_post_init)
+        monkeypatch.setattr(channels, "_WeylKernel", counting_kernel)
+        report = capacity_covariant(rho, chan, layout, "global", QUICK)
+        assert specs == []
+        assert len(kernels) == 1 and list(chan._kernels.values()) == kernels
+        assert report.capacity_bits > 0
+
+
 class TestCapacityNonunitary:
     def test_trivial_environment_matches_unitary(self):
         layout = SubsystemLayout([2], 2)
@@ -780,6 +808,19 @@ class TestGeneratorCertificate:
             assert dev > capacity.COVARIANCE_CERT_TOL
         with pytest.raises(NonCovariantChannelError):
             capacity_covariant(random_density_matrix(8, rng), chan, layout, "local", QUICK)
+
+    def test_no_samples_certify_nothing(self):
+        # The tiled slot fails at five trials; with no trials or no
+        # operators there is nothing to compare, which must not read as 0.
+        rng = np.random.default_rng(3)
+        layout = SubsystemLayout([4], 2)
+        chan = product_probs([random_single(2, rng) for _ in range(3)], acts_on=(0, 0, 1))
+        gens = sender_generators([4])
+        assert verify_covariance(chan, gens, layout, trials=5, seed=3) > 1e-3
+        with pytest.raises(ParameterError):
+            verify_covariance(chan, gens, layout, trials=0, seed=3)
+        with pytest.raises(ParameterError):
+            verify_covariance(chan, (), layout, trials=5, seed=3)
 
     def test_generators_certify_criterion_4_like_the_full_set(self):
         for name, spec, layout in criterion_04_channels():
@@ -900,6 +941,10 @@ class TestCertificationHelpers:
 
     def test_depolarizing_invariance_small(self):
         assert depolarizing_invariance_check(bell_state(2), 0.3, trials=5, seed=3) <= 1e-9
+
+    def test_depolarizing_invariance_needs_trials(self):
+        with pytest.raises(ParameterError, match="trials"):
+            depolarizing_invariance_check(bell_state(2), 0.3, trials=0)
 
     def test_ghz_fully_correlated_capacity(self):
         layout = SubsystemLayout([2, 2, 2], 2)

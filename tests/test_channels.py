@@ -32,6 +32,7 @@ from densecode.displacement import displacement_op, local_encoding_set
 from densecode.errors import (
     ChannelError,
     LayoutError,
+    NumericalError,
     ParameterError,
     ProbabilityError,
 )
@@ -514,6 +515,29 @@ class TestCptp:
         via_kraus = apply_cptp(kraus, rho, [0, 1], layout)
         assert np.abs(via_pauli - via_kraus).max() <= 1e-12
 
+    def test_kraus_stored_as_read_only_stack(self):
+        ops = [np.eye(2) * math.sqrt(0.5), np.diag([1.0, -1.0]) * math.sqrt(0.5)]
+        cptp = CptpMap(ops)
+        assert cptp.kraus.shape == (2, 2, 2) and cptp.kraus.dtype == complex
+        assert not cptp.kraus.flags.writeable
+        with pytest.raises(ValueError):
+            cptp.kraus[0, 0, 0] = 0.0
+        assert ops[0].flags.writeable  # the caller's operators are copied
+        assert np.array_equal(CptpMap(cptp.kraus).kraus, cptp.kraus)
+        assert CptpMap((np.eye(6)[:, :2],)).kraus.shape == (1, 6, 2)
+
+    def test_malformed_kraus_rejected(self):
+        half = math.sqrt(0.5)
+        with pytest.raises(ChannelError, match="all of one shape"):
+            CptpMap((np.eye(2) * half, np.eye(3)[:, :2] * half))
+        with pytest.raises(ChannelError, match="one or more"):
+            CptpMap(())
+        with pytest.raises(ChannelError, match="one or more"):
+            CptpMap(np.zeros((0, 2, 2)))
+        for bad in ((np.ones(2),), np.ones((1, 2, 2, 2))):
+            with pytest.raises(NumericalError, match="2-dimensional"):
+                CptpMap(bad)
+
     def test_completeness_enforced(self):
         with pytest.raises(ChannelError):
             CptpMap((np.eye(2) * 0.5,))
@@ -549,7 +573,36 @@ class TestCptp:
         assert np.abs(_encode_with_kraus(rho, ks, layout) - want).max() <= 1e-12
 
 
+def label_negated_spec(spec):
+    """The Pauli channel with every label (m, n) mapped to (-m, -n) mod d:
+    the adjoint of ``spec`` built as a second channel, kept as the oracle of
+    ``adjoint_map``'s conjugate-eigenvalue route."""
+    negated = [[(-(l // d) % d) * d + (-(l % d) % d) for l in range(d * d)]
+               for d in spec.party_dims]
+    return PauliChannelSpec(spec.party_dims, spec.joint[np.ix_(*negated)], spec.acts_on)
+
+
 class TestAdjoint:
+    @pytest.mark.parametrize("party_dims, acts_on, slot_dims", [
+        ((2, 2), (0, 1), [2, 2]),                 # qubits
+        ((3, 3), (0, 1), [3, 3]),                 # qutrits
+        ((2, 2, 2), (0, 1, 1), [2, 4]),           # tiled receiver
+        ((2, 2, 2), (0, 0, 1), [4, 2]),           # tiled sender
+        ((2, 3, 3), (0, 2, 1), [2, 3, 3]),        # mixed dimensions
+        ((3, 2), (0, 2), [3, 2, 2]),              # mixed, an untouched slot
+    ])
+    def test_matches_label_negated_spec(self, party_dims, acts_on, slot_dims):
+        spec, layout, _ = channel_case(party_dims, acts_on, slot_dims, seed=21)
+        y = random_hermitian(layout.total_dim, np.random.default_rng(22))
+        want = apply_pauli(label_negated_spec(spec), y, layout)
+        assert np.abs(adjoint_map(spec, layout)(y) - want).max() <= 1e-15
+
+    def test_wrong_size_rejected(self):
+        spec, layout, _ = channel_case((2, 2), (0, 1), [2, 2], seed=21)
+        for n in (2, 8):
+            with pytest.raises(LayoutError, match="does not match layout total 4"):
+                adjoint_map(spec, layout)(np.eye(n))
+
     @staticmethod
     def adjoint_gap(channel, layout, rng):
         """|tr[Y Lambda(X)] - tr[Lambda^dag(Y) X]| for a random state X and
@@ -585,6 +638,16 @@ class TestAdjoint:
 
 
 class TestCovariance:
+    def test_no_samples_rejected(self):
+        layout = SubsystemLayout([2], 2)
+        spec = product_probs([depolarizing_probs(2, 0.3)] * 2)
+        enc = local_encoding_set([2])
+        for trials in (0, -1):
+            with pytest.raises(ParameterError, match="trials"):
+                verify_covariance(spec, enc, layout, trials=trials)
+        with pytest.raises(ParameterError, match="operators"):
+            verify_covariance(spec, (), layout, trials=3)
+
     def test_identity_channel_exact(self):
         layout = SubsystemLayout([2], 2)
         spec = product_probs([depolarizing_probs(2, 0.0)] * 2)
@@ -629,6 +692,25 @@ class TestJsonInterface:
         spec = channel_from_json(doc)
         expected = np.diag(np.array([0.7, 0.1, 0.1, 0.1]))
         assert np.abs(spec.joint - expected).max() < 1e-15
+
+    def test_scalar_mu_is_uniform(self):
+        tables = [[[0.7, 0.1], [0.1, 0.1]], [[0.4, 0.2], [0.2, 0.2]], [[0.5, 0.5], [0, 0]]]
+        spec = channel_from_json({"parties": 3, "d": 2, "singles": tables, "mu": 0.4})
+        singles = [SinglePartyPauliSpec(2, np.array(t)) for t in tables]
+        want = correlated_probs(singles, CorrelationSpec.uniform(3, 0.4))
+        assert np.array_equal(spec.joint, want.joint)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"parties": "2", "d": 2, "singles": [], "mu": 0}, "channel.parties: expected an integer"),
+        ({"parties": 1, "d": 2, "singles": 3, "mu": 0}, "channel.singles: expected an array"),
+        ({"parties": 1, "d": 2, "singles": [[[1, 0], [0, 0]]], "mu": "x"},
+         "channel.mu: expected a number or an array"),
+        ({"joint": [1, 0, 0, 0], "party_dims": 2, "shape": [4]},
+         "channel.party_dims: expected an array of numbers"),
+    ])
+    def test_mistyped_field_named(self, doc, message):
+        with pytest.raises(ChannelError, match=message):
+            channel_from_json(doc)
 
     def test_joint_tensor_validation(self):
         with pytest.raises(ProbabilityError):

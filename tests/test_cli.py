@@ -5,6 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from densecode.channels import (
+    CorrelationSpec,
+    SinglePartyPauliSpec,
+    channel_to_json,
+    correlated_probs,
+)
 from densecode.cli import (
     ConfigError,
     ResultRow,
@@ -15,6 +21,7 @@ from densecode.cli import (
     run_sweep,
     run_verify,
 )
+from densecode.errors import DensecodeError
 
 QUICK_OPT = {"restarts": 3, "max_iters": 100}
 
@@ -152,6 +159,45 @@ def test_malformed_channel_named_in_error(tmp_path, capsys, cfg, field):
     assert err.startswith("error: channel: ") and field in err
 
 
+GHZ_CONFIG = {"scenario": "ghz-full", "state": {"copies": 1},
+              "channel": {"q": [0.85, 0.05, 0.05, 0.05]}, "optimizer": QUICK_OPT}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({**GHZ_CONFIG, "channel": 5}, "channel"),
+    ({**GHZ_CONFIG, "state": 5}, "state"),
+    ({**bell_correlated_config(0.5), "channel": {"singles": 3, "mu": 0.5}}, "channel.singles"),
+    ({**GHZ_CONFIG, "channel": {"q": 0.5}}, "channel.q"),
+    ({**GHZ_CONFIG, "state": {"copies": "x"}}, "state.copies"),
+    ({**GHZ_CONFIG, "seed": "abc"}, "seed"),
+    ({**GHZ_CONFIG, "optimizer": {"restarts": "x"}}, "optimizer.restarts"),
+    ({**GHZ_CONFIG, "run_optimizer": "false"}, "run_optimizer"),
+    ([GHZ_CONFIG], "config"),
+])
+def test_mistyped_field_named_in_error(tmp_path, capsys, cfg, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["capacity", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
+
+
+class TestBellCorrelatedChannel:
+    def test_joint_form_matches_singles_form(self):
+        cfg = {**bell_correlated_config(0.5), "run_optimizer": False}
+        singles_row = run_scenario(cfg)[0]
+        cfg["channel"] = channel_to_json(correlated_probs(
+            [SinglePartyPauliSpec(2, np.array(t)) for t in cfg["channel"]["singles"]],
+            CorrelationSpec.uniform(2, 0.5)))
+        assert run_scenario(cfg)[0].capacity_bits == singles_row.capacity_bits
+
+    def test_unequal_dims_rejected(self):
+        cfg = bell_correlated_config(0.5)
+        cfg["state"] = {"dims": [2, 3]}
+        cfg["channel"]["singles"][1] = np.diag([1.0, 0, 0]).tolist()
+        with pytest.raises(DensecodeError):
+            run_scenario(cfg)
+
+
 class TestSweep:
     def test_depolarizing_sweep_monotone(self):
         cfg = {
@@ -167,6 +213,12 @@ class TestSweep:
         assert all(a >= b - 1e-12 for a, b in zip(caps, caps[1:]))
         assert rows[3].param_name == "channel.p"
         assert abs(rows[3].param_value - 0.3) < 1e-12
+
+    @pytest.mark.parametrize("param", ["channel.p", "channel.q.7", "channel.q.x"])
+    def test_unsettable_path_rejected(self, param):
+        cfg = {**GHZ_CONFIG, "channel": 5} if param == "channel.p" else GHZ_CONFIG
+        with pytest.raises(ConfigError, match=f"sweep: cannot set '{param}'"):
+            run_sweep(cfg, param, 0.0, 1.0, 2)
 
     def test_sweep_scalar_mu(self):
         rows = run_sweep(bell_correlated_config(0.0), "channel.mu", 0.0, 1.0, 3)
