@@ -38,7 +38,6 @@ from .channels import (
 )
 from .displacement import (
     DisplacementAlgebraReport,
-    LocalEncodingSet,
     displacement_op,
     local_encoding_set,
     twirl,

@@ -46,7 +46,7 @@ from .channels import (
     product_probs,
     verify_covariance,
 )
-from .displacement import LocalEncodingSet, local_encoding_set, sender_generators
+from .displacement import local_encoding_set, sender_generators
 from .errors import (
     NonCovariantChannelError,
     NumericalError,
@@ -58,6 +58,7 @@ from .linalg import (
     EIG_CLIP,
     SubsystemLayout,
     _conjugate_leading,
+    _kron_stacks,
     as_complex_matrix,
     complex_gaussian,
     kron_all,
@@ -168,8 +169,9 @@ def holevo(
     return von_neumann_entropy(average) - mean_entropy
 
 
-def attaining_ensemble(encoder_min, enc_set: LocalEncodingSet) -> EncodingEnsemble:
-    """Uniform ensemble of the encoding set composed with the minimizer.
+def attaining_ensemble(encoder_min, enc_set: np.ndarray) -> EncodingEnsemble:
+    """Uniform ensemble of the encoding set, a stack of sender unitaries V_i
+    such as ``local_encoding_set``, composed with the minimizer.
 
     For a unitary U the members are V_i @ U; for a CPTP map the members
     conjugate its output by V_i, Kraus stack V_i @ K.
@@ -177,9 +179,9 @@ def attaining_ensemble(encoder_min, enc_set: LocalEncodingSet) -> EncodingEnsemb
     p = 1.0 / len(enc_set)
     if isinstance(encoder_min, CptpMap):
         return EncodingEnsemble(tuple((p, CptpMap(v @ encoder_min.kraus))
-                                      for v in enc_set.operators))
+                                      for v in enc_set))
     u = as_complex_matrix(encoder_min, "encoder")
-    return EncodingEnsemble(tuple((p, v @ u) for v in enc_set.operators))
+    return EncodingEnsemble(tuple((p, v @ u) for v in enc_set))
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +346,6 @@ def _factor_dims(layout: SubsystemLayout, mode: str) -> tuple[int, ...]:
     raise ParameterError(f"unknown mode {mode!r}")
 
 
-def _kraus(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Joint Kraus stack of per-factor stacks (env, d_j, d_j): every kron
-    product, the first factor's Kraus index varying slowest."""
-    ks = factors[0]
-    for f in factors[1:]:
-        ks = (ks[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(
-            len(ks) * len(f), ks.shape[1] * f.shape[1], -1)
-    return ks
-
-
 def _factor_grads(grad: np.ndarray, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Gradients of the per-factor stacks from that of the joint stack: each
     contracts the joint gradient with the conjugate kron of the other factors."""
@@ -364,7 +356,7 @@ def _factor_grads(grad: np.ndarray, factors: Sequence[np.ndarray]) -> list[np.nd
     out = []
     for j, f in enumerate(factors):
         rest = [m for m in range(3 * k) if m % k != j]
-        others = _kraus(factors[:j] + factors[j + 1:])
+        others = _kron_stacks(factors[:j] + factors[j + 1:])
         mine = grad.transpose([j, k + j, 2 * k + j] + rest).reshape(f.size, -1)
         out.append((mine @ others.conj().ravel()).reshape(f.shape))
     return out
@@ -420,7 +412,7 @@ def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int
 
     def objective(vs):
         factors = [v.reshape(env_dim, d, d) for v, d in zip(vs, dims)]
-        ks = _kraus(factors)
+        ks = _kron_stacks(factors)
         sigma = apply_channel(channel, _encode_with_kraus(rho, ks, layout), layout)
         w, u = np.linalg.eigh(sigma)
         g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))) @ _dagger(u))
@@ -576,7 +568,7 @@ def _capacity(rho, channel, layout, mode, env_dim, cfg, as_cptp) -> CapacityRepo
             )
     _certify(channel, layout, cfg)
     entropy, vs, trace = _minimize_entropy(rho, channel, layout, dims, env_dim, cfg)
-    ks = _kraus([v.reshape(env_dim, d, d) for v, d in zip(vs, dims)])
+    ks = _kron_stacks([v.reshape(env_dim, d, d) for v, d in zip(vs, dims)])
     encoder = CptpMap(ks) if as_cptp else ks[0]
     log_da = math.log2(layout.sender_dim)
     s_b = _receiver_entropy(apply_channel(channel, rho, layout), layout)
@@ -714,7 +706,7 @@ def lemma2_orthogonality_check(
     if unitary is None:
         unitary = random_unitary(layout.sender_dim, np.random.default_rng(seed))
     base = encode_with_unitary(rho, unitary, layout)
-    pis = [encode_with_unitary(base, v, layout) for v in enc_set.operators]
+    pis = [encode_with_unitary(base, v, layout) for v in enc_set]
     max_cross = max(abs((a * b.T).sum()) for a, b in itertools.combinations(pis, 2))
     max_purity = max(abs((pi * pi.T).sum() - 1.0) for pi in pis)
     return Lemma2Report(float(max_cross), float(max_purity))

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .displacement import LocalEncodingSet, displacement_op
+from .displacement import displacement_op
 from .errors import (
     ChannelError,
     LayoutError,
@@ -46,6 +46,7 @@ from .errors import (
 from .linalg import (
     SubsystemLayout,
     _conjugate_leading,
+    _on_layout,
     as_complex_matrix,
     kron_all,
     permute_slots,
@@ -422,9 +423,7 @@ def apply_pauli(
 def _weyl_apply(kernel: _WeylKernel, rho: np.ndarray, eigen: np.ndarray) -> np.ndarray:
     """``kernel``'s gather, Fourier products and scatter around a multiply by
     ``eigen``: its eigenvalues for the channel, conjugated for the adjoint."""
-    if rho.shape != eigen.shape:
-        raise LayoutError(f"state dim {rho.shape[0]} does not match layout total {len(eigen)}")
-    shifted = np.take(rho, kernel.gather)
+    shifted = np.take(_on_layout(rho, len(eigen)), kernel.gather)
     result = ((shifted @ kernel.fourier) * eigen) @ kernel.inverse
     # Row delta = 0 holds the diagonal, of the state and of the output.
     trace_dev = abs(result[0].sum() - shifted[0].sum())
@@ -492,26 +491,28 @@ def adjoint_map(channel, layout: SubsystemLayout):
         return lambda y: _weyl_apply(kernel, y, eigen)
     if isinstance(channel, CptpMap):
         daggers = channel.kraus.conj().transpose(0, 2, 1)
-        return lambda y: _conjugate_leading(y, daggers, layout.total_dim)
+        total = layout.total_dim
+        return lambda y: _conjugate_leading(_on_layout(y, total), daggers, total)
     raise ChannelError(f"unsupported channel type {type(channel).__name__}")
 
 
 def verify_covariance(
     spec,
-    enc_set,
+    ops,
     layout: SubsystemLayout,
     trials: int = 20,
     seed: int = 0,
 ) -> float:
     """Max deviation of the covariance property over random states.
 
-    Checks Lambda(V rho V^dag) = V Lambda(rho) V^dag for every operator in
-    ``enc_set``, a LocalEncodingSet or a sequence of sender-space unitaries
-    such as ``sender_generators`` (each extended by identity on the receiver
-    slot).  Accepts a Pauli spec or any full-space CPTP map.  No trials or no
-    operators leave nothing to certify and raise ParameterError.
+    Checks Lambda(V rho V^dag) = V Lambda(rho) V^dag for every sender-space
+    unitary V in ``ops``, a sequence or (T, D_A, D_A) stack such as
+    ``sender_generators`` or ``local_encoding_set`` (each extended by
+    identity on the receiver slot).  Accepts a Pauli spec or any full-space
+    CPTP map.  No trials or no operators leave nothing to certify and raise
+    ParameterError.
     """
-    ops = enc_set.operators if isinstance(enc_set, LocalEncodingSet) else enc_set
+    ops = np.asarray(ops, dtype=complex)
     if trials < 1 or not len(ops):
         raise ParameterError(f"need trials >= 1 and operators, got {trials} and {len(ops)}")
     rng = np.random.default_rng(seed)
@@ -519,8 +520,7 @@ def verify_covariance(
     for _ in range(trials):
         rho = random_density_matrix(layout.total_dim, rng)
         out = apply_channel(spec, rho, layout)
-        for v in ops:
-            v = v[None]
+        for v in ops[:, None]:
             lhs = apply_channel(spec, _conjugate_leading(rho, v, layout.sender_dim), layout)
             rhs = _conjugate_leading(out, v, layout.sender_dim)
             worst = max(worst, np.abs(lhs - rhs).max())
@@ -553,14 +553,14 @@ def channel_from_json(doc: dict) -> PauliChannelSpec:
         return json_field(doc, f"channel.{name}", kind, default, ChannelError)
 
     if "joint" in doc:
-        party_dims = read("party_dims", list)
+        party_dims = read("party_dims", tuple)
         joint = np.asarray(read("joint", list), dtype=float)
-        shape = tuple(int(s) for s in read("shape", list))
+        shape = read("shape", tuple)
         if joint.size != math.prod(shape):
             raise ChannelError(f"channel: 'joint' has {joint.size} entries, "
                                f"'shape' {list(shape)} needs {math.prod(shape)}")
-        acts_on = read("acts_on", list, range(len(party_dims)))
-        return PauliChannelSpec(party_dims, joint.reshape(shape), tuple(acts_on))
+        acts_on = read("acts_on", tuple, tuple(range(len(party_dims))))
+        return PauliChannelSpec(party_dims, joint.reshape(shape), acts_on)
     parties = read("parties", int)
     d = read("d", int)
     singles = [SinglePartyPauliSpec(d, t) for t in read("singles", list)]
@@ -569,4 +569,4 @@ def channel_from_json(doc: dict) -> PauliChannelSpec:
                            f"'parties' is {parties}")
     mu = read("mu", (float, list))
     corr = CorrelationSpec(mu) if isinstance(mu, list) else CorrelationSpec.uniform(parties, mu)
-    return correlated_probs(singles, corr, read("acts_on", list, None))
+    return correlated_probs(singles, corr, read("acts_on", tuple, None))

@@ -158,7 +158,7 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
     chan_cfg = json_field(cfg, "channel", dict, {})
 
     if scenario == "bell-correlated":
-        dims = json_field(state_cfg, "state.dims", list)
+        dims = json_field(state_cfg, "state.dims", tuple)
         rho, layout = bell_copies(dims)
         # The correlated form's parties and d are the copies and their dim.
         channel = channel_from_json({**chan_cfg, "parties": len(dims), "d": dims[0]})
@@ -198,7 +198,7 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
             raise ConfigError("state.matrix: re and im shapes differ")
         layout_cfg = json_field(state_cfg, "state.layout", dict)
         layout = SubsystemLayout(
-            json_field(layout_cfg, "state.layout.sender_dims", list),
+            json_field(layout_cfg, "state.layout.sender_dims", tuple),
             json_field(layout_cfg, "state.layout.receiver_dim", int),
         )
         rho = validate_density_matrix(re + 1j * im, layout.total_dim)

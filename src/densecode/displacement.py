@@ -12,7 +12,6 @@ phase-sensitive.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LayoutError, ParameterError, SizeLimitError
-from .linalg import kron_all
+from .linalg import _kron_stacks, check_dim, kron_all
 
 # On D_A^2: the set holds D_A^4 complex entries.  Capacity runs never build it.
 ENCODING_SET_CAP = 4096
@@ -86,63 +85,45 @@ def verify_displacement_algebra(d: int) -> DisplacementAlgebraReport:
     return DisplacementAlgebraReport(d, orth, comm, prod)
 
 
-@dataclass(frozen=True)
-class LocalEncodingSet:
-    """All D_A^2 tensor products of per-sender displacement operators.
-
-    Operators are ordered lexicographically in (m_1, n_1, ..., m_k, n_k) so
-    ensemble indices are reproducible across runs.
-    """
-
-    sender_dims: tuple[int, ...]
-    operators: tuple[np.ndarray, ...]
-
-    @property
-    def sender_dim(self) -> int:
-        return math.prod(self.sender_dims)
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-
-def local_encoding_set(sender_dims: Sequence[int]) -> LocalEncodingSet:
-    """Complete orthogonal unitary set on the joint sender space."""
-    sender_dims = tuple(int(d) for d in sender_dims)
-    if not sender_dims:
-        raise LayoutError("need at least one sender dimension")
-    d_a = math.prod(sender_dims)
-    if d_a * d_a > ENCODING_SET_CAP:
-        raise SizeLimitError(
-            f"encoding set size {d_a * d_a} exceeds cap {ENCODING_SET_CAP}"
-        )
-    per_sender = [[displacement_op(d, m, n) for m, n in label_pairs(d)]
-                  for d in sender_dims]
-    ops = tuple(kron_all(combo) for combo in itertools.product(*per_sender))
-    return LocalEncodingSet(sender_dims, ops)
-
-
-def sender_generators(sender_dims: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Shift V_10 and clock V_01 of each sender, identity on the others: 2k
-    unitaries whose products give every member of ``local_encoding_set`` up
-    to a phase, so a linear map covariant under them is covariant under all."""
+def local_encoding_set(sender_dims: Sequence[int]) -> np.ndarray:
+    """Complete orthogonal unitary set on the joint sender space: the
+    (D_A^2, D_A, D_A) stack of all tensor products of per-sender displacement
+    operators, in lexicographic (m_1, n_1, ..., m_k, n_k) order."""
     dims = tuple(int(d) for d in sender_dims)
-    return tuple(
+    if not dims:
+        raise LayoutError("need at least one sender dimension")
+    d_a = math.prod(dims)
+    if d_a * d_a > ENCODING_SET_CAP:
+        raise SizeLimitError(f"encoding set size {d_a * d_a} exceeds cap {ENCODING_SET_CAP}")
+    check_dim(d_a)
+    return _kron_stacks([np.stack([displacement_op(d, m, n) for m, n in label_pairs(d)])
+                         for d in dims])
+
+
+def sender_generators(sender_dims: Sequence[int]) -> np.ndarray:
+    """Shift V_10 and clock V_01 of each sender, identity on the others: a
+    (2k, D_A, D_A) stack of unitaries whose products give every member of
+    ``local_encoding_set`` up to a phase, so a linear map covariant under
+    them is covariant under all."""
+    dims = tuple(int(d) for d in sender_dims)
+    return np.array([
         kron_all([np.eye(math.prod(dims[:j])), displacement_op(d, m, n),
                   np.eye(math.prod(dims[j + 1:]))])
-        for j, d in enumerate(dims) for m, n in ((1, 0), (0, 1)))
+        for j, d in enumerate(dims) for m, n in ((1, 0), (0, 1))])
 
 
-def twirl(enc_set: LocalEncodingSet, x) -> np.ndarray:
-    """Uniform average of conjugations, (1/D_A^2) sum_i V_i x V_i^dag.
+def twirl(enc_set: np.ndarray, x) -> np.ndarray:
+    """Uniform average of conjugations, (1/D_A^2) sum_i V_i x V_i^dag, over
+    a (D_A^2, D_A, D_A) stack such as ``local_encoding_set``.
 
     Projects onto the identity component: the result equals tr(x) * I / D_A
     up to roundoff.  Terms are accumulated in indexed order.
     """
     x = np.asarray(x, dtype=complex)
-    d_a = enc_set.sender_dim
+    d_a = enc_set.shape[-1]
     if x.shape != (d_a, d_a):
         raise LayoutError(f"operator shape {x.shape} does not match sender dim {d_a}")
     acc = np.zeros_like(x)
-    for v in enc_set.operators:
+    for v in enc_set:
         acc += v @ x @ v.conj().T
     return acc / (d_a * d_a)

@@ -45,9 +45,17 @@ class ConfigError(DensecodeError):
 
 REQUIRED = object()
 
-# JSON types by the Python type a field is read as; arrays hold numbers.
+# JSON types by the Python type a field is read as; a list is rectangular.
 JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-              dict: "an object", list: "an array of numbers"}
+              dict: "an object", list: "an array of numbers", tuple: "an array of integers"}
+
+
+def _shape(value):
+    """Shape of a rectangular array of numbers, () for a number, else None."""
+    if not isinstance(value, list):
+        return () if _is(value, float) else None
+    shapes = {_shape(x) for x in value} or {()}
+    return (len(value), *shapes.pop()) if len(shapes) == 1 and None not in shapes else None
 
 
 def _is(value, kind) -> bool:
@@ -56,7 +64,9 @@ def _is(value, kind) -> bool:
     if isinstance(kind, tuple):
         return any(_is(value, k) for k in kind)
     if kind is list:
-        return isinstance(value, list) and all(_is(x, (float, list)) for x in value)
+        return isinstance(value, list) and _shape(value) is not None
+    if kind is tuple:
+        return isinstance(value, list) and all(_is(x, int) for x in value)
     if kind in (int, float):
         return isinstance(value, (int, float)) and not isinstance(value, bool) and (
             kind is float or isinstance(value, int) or value.is_integer())
@@ -65,8 +75,8 @@ def _is(value, kind) -> bool:
 
 def json_field(doc: dict, path: str, kind, default=REQUIRED, error=ConfigError):
     """Field of ``doc`` at the last key of the dotted ``path``, of JSON type
-    ``kind`` (see ``_is``; integers come back as int), or ``default`` when
-    absent.  A missing field or another type raises ``error`` naming the field."""
+    ``kind`` (see ``_is``; integers, also in arrays, come back as int), or
+    ``default`` when absent; a missing or mistyped field raises ``error`` naming it."""
     parent, _, key = path.rpartition(".")
     if key not in doc:
         if default is REQUIRED:
@@ -76,4 +86,6 @@ def json_field(doc: dict, path: str, kind, default=REQUIRED, error=ConfigError):
     if not _is(value, kind):
         names = [JSON_TYPES[k] for k in (kind if isinstance(kind, tuple) else (kind,))]
         raise error(f"{path}: expected {' or '.join(names)}, got {json.dumps(value)[:40]}")
+    if kind is tuple:
+        return tuple(int(x) for x in value)
     return int(value) if kind is int else value

@@ -152,15 +152,18 @@ def validate_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     return rho
 
 
+def _on_layout(rho: np.ndarray, total: int) -> np.ndarray:
+    """``rho``, checked to be a total x total operator on a layout."""
+    if rho.shape != (total, total):
+        raise LayoutError(f"state dimension {rho.shape[0]} does not match layout total {total}")
+    return rho
+
+
 def partial_trace(rho, layout: SubsystemLayout, keep) -> np.ndarray:
     """Reduced state on the slots in ``keep`` (kept in ascending slot order)."""
-    rho = as_complex_matrix(rho, "rho")
+    rho = _on_layout(as_complex_matrix(rho, "rho"), layout.total_dim)
     dims = layout.dims
     n = len(dims)
-    if rho.shape != (layout.total_dim, layout.total_dim):
-        raise LayoutError(
-            f"state dimension {rho.shape[0]} does not match layout total {layout.total_dim}"
-        )
     keep = sorted(set(int(s) for s in keep))
     if not keep:
         raise LayoutError("keep set must not be empty")
@@ -241,6 +244,18 @@ def _conjugate_leading(rho, ks, a: int) -> np.ndarray:
     left = ks @ rho.reshape(a, n * b)
     right = ks.conj()[:, None] @ left.reshape(len(ks), n, a, b)
     return right.sum(axis=0).reshape(n, n)
+
+
+def _kron_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Every kron product of one operator from each (T_j, n_j, m_j) stack,
+    the first stack's index varying slowest, as a (prod T_j, prod n_j,
+    prod m_j) stack: ``kron_all`` of each combination, one broadcast multiply
+    per factor."""
+    ks = stacks[0]
+    for f in stacks[1:]:
+        ks = (ks[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(
+            len(ks) * len(f), ks.shape[1] * f.shape[1], -1)
+    return ks
 
 
 # Seeded random fixtures shared by certification routines, the optimizer's

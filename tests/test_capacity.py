@@ -47,6 +47,7 @@ from densecode.errors import (
     LayoutError,
     NonCovariantChannelError,
     NumericalError,
+    OptimizerDivergedError,
     ParameterError,
     ProbabilityError,
 )
@@ -154,7 +155,7 @@ class TestAttainingEnsemble:
         ens = attaining_ensemble(np.eye(2), enc)
         assert len(ens.members) == 4
         assert all(abs(p - 0.25) < 1e-15 for p, _ in ens.members)
-        for (_, got), want in zip(ens.members, enc.operators):
+        for (_, got), want in zip(ens.members, enc):
             assert np.abs(got - want).max() < 1e-15
 
     def test_two_sender_member_count(self):
@@ -699,6 +700,27 @@ class TestCapacityCovariant:
         assert [r.getMessage() for r in caplog.records] == [
             f"restart {rid} aborted: NumericalError: non-finite objective nan or gradient"
             for rid in (1, 2)]
+
+    def test_every_restart_aborted_raises(self, monkeypatch, caplog):
+        def diverging(fun, x0, max_iters):
+            raise NumericalError("channel failed to preserve trace by 1.000e-03")
+
+        monkeypatch.setattr(capacity, "minimize", diverging)
+        layout = SubsystemLayout([2], 2)
+        cfg = OptimizerConfig(restarts=3, max_iters=20, seed=42)
+        with caplog.at_level(logging.WARNING, logger="densecode"):
+            with pytest.raises(OptimizerDivergedError, match="no optimizer restart"):
+                capacity_covariant(bell_state(2), identity_channel(layout), layout,
+                                   "local", cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"restart {rid} aborted: NumericalError: "
+            "channel failed to preserve trace by 1.000e-03" for rid in range(3)]
+
+    def test_unknown_mode_rejected(self):
+        layout = SubsystemLayout([2], 2)
+        with pytest.raises(ParameterError, match="unknown mode 'bogus'"):
+            capacity_covariant(bell_state(2), identity_channel(layout), layout,
+                               "bogus", QUICK)
 
     @pytest.mark.parametrize("config", [
         {"scenario": "bell-diagonal-full",

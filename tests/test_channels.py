@@ -28,7 +28,7 @@ from densecode.channels import (
     product_probs,
     verify_covariance,
 )
-from densecode.displacement import displacement_op, local_encoding_set
+from densecode.displacement import displacement_op, local_encoding_set, sender_generators
 from densecode.errors import (
     ChannelError,
     LayoutError,
@@ -598,10 +598,20 @@ class TestAdjoint:
         assert np.abs(adjoint_map(spec, layout)(y) - want).max() <= 1e-15
 
     def test_wrong_size_rejected(self):
+        # An 8 x 8 Y is a whole number of D = 4 blocks, which the Kraus
+        # conjugation alone would accept.
         spec, layout, _ = channel_case((2, 2), (0, 1), [2, 2], seed=21)
-        for n in (2, 8):
-            with pytest.raises(LayoutError, match="does not match layout total 4"):
-                adjoint_map(spec, layout)(np.eye(n))
+        for channel in (spec, pauli_kraus(spec)):
+            for n in (2, 8):
+                with pytest.raises(LayoutError, match="does not match layout total 4"):
+                    adjoint_map(channel, layout)(np.eye(n))
+
+    def test_unsupported_channel_type_rejected(self):
+        layout = SubsystemLayout([2], 2)
+        with pytest.raises(ChannelError, match="unsupported channel type ndarray"):
+            apply_channel(np.eye(4), np.eye(4), layout)
+        with pytest.raises(ChannelError, match="unsupported channel type ndarray"):
+            adjoint_map(np.eye(4), layout)
 
     @staticmethod
     def adjoint_gap(channel, layout, rng):
@@ -647,6 +657,16 @@ class TestCovariance:
                 verify_covariance(spec, enc, layout, trials=trials)
         with pytest.raises(ParameterError, match="operators"):
             verify_covariance(spec, (), layout, trials=3)
+
+    def test_sequence_or_stack_of_operators(self):
+        # A tiled sender slot is not covariant, so the deviation is nonzero.
+        rng = np.random.default_rng(3)
+        layout = SubsystemLayout([4], 2)
+        spec = product_probs([random_single(2, rng) for _ in range(3)], acts_on=(0, 0, 1))
+        stack = sender_generators([4])
+        devs = [verify_covariance(spec, ops, layout, trials=3, seed=5)
+                for ops in (stack, tuple(stack), list(stack))]
+        assert devs[0] > 1e-3 and devs == [devs[0]] * 3
 
     def test_identity_channel_exact(self):
         layout = SubsystemLayout([2], 2)
@@ -706,7 +726,7 @@ class TestJsonInterface:
         ({"parties": 1, "d": 2, "singles": [[[1, 0], [0, 0]]], "mu": "x"},
          "channel.mu: expected a number or an array"),
         ({"joint": [1, 0, 0, 0], "party_dims": 2, "shape": [4]},
-         "channel.party_dims: expected an array of numbers"),
+         "channel.party_dims: expected an array of integers"),
     ])
     def test_mistyped_field_named(self, doc, message):
         with pytest.raises(ChannelError, match=message):

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from densecode import cli
 from densecode.channels import (
     CorrelationSpec,
     SinglePartyPauliSpec,
@@ -181,6 +182,72 @@ def test_mistyped_field_named_in_error(tmp_path, capsys, cfg, field):
     assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
 
 
+CUSTOM_CONFIG = {
+    "scenario": "custom",
+    "state": {"matrix": BELL_MATRIX, "layout": {"sender_dims": [2], "receiver_dim": 2}},
+    "channel": {"joint": [1, 0, 0, 0] + [0] * 12, "party_dims": [2, 2], "shape": [4, 4],
+                "acts_on": [0, 1]},
+    "optimizer": QUICK_OPT,
+}
+
+
+def with_field(cfg, path, value):
+    """Deep copy of ``cfg`` with the field at the dotted ``path`` set to ``value``."""
+    cfg = json.loads(json.dumps(cfg))
+    cli._set_path(cfg, path, value)
+    return cfg
+
+
+def run_cli_config(tmp_path, capsys, cfg):
+    """(exit status, stderr) of ``densecode capacity`` on ``cfg``."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    status = main(["capacity", "--config", str(cfg_path)])
+    return status, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (with_field(GHZ_CONFIG, "channel.q", [0.85, [0.05], 0.05, 0.05]), "channel.q"),
+    (with_field(bell_correlated_config(0.5), "channel.singles",
+                [[[0.7, 0.1], [0.2]], [[0.4, 0.3], [0.2, 0.1]]]), "channel.singles"),
+    (with_field(bell_correlated_config(0.5), "channel.mu", [[0, 0.5], [0.5]]), "channel.mu"),
+    (with_field(CUSTOM_CONFIG, "state.matrix.re", [[0.5, 0, 0, 0.5], [0, 0]]),
+     "state.matrix.re"),
+])
+def test_ragged_array_named_in_error(tmp_path, capsys, cfg, field):
+    # numpy would raise a ValueError on these, which exits 1 as if an
+    # agreement had failed.
+    status, err = run_cli_config(tmp_path, capsys, cfg)
+    assert status == 2
+    assert err.startswith(f"error: {field}: expected ")
+
+
+@pytest.mark.parametrize("path, value", [
+    ("state.layout.sender_dims", [2.5]),
+    ("channel.acts_on", [0, 1.7]),
+    ("channel.party_dims", [2, 2.5]),
+    ("channel.shape", [4, 4.5]),
+    ("state.dims", [2, 2.5]),
+])
+def test_non_integral_array_entry_rejected(tmp_path, capsys, path, value):
+    # Read as numbers and truncated by int(), [2.5] ran as a qubit sender.
+    base = bell_correlated_config(0.5) if path == "state.dims" else CUSTOM_CONFIG
+    status, err = run_cli_config(tmp_path, capsys, with_field(base, path, value))
+    assert status == 2
+    assert err.startswith(f"error: {path}: expected an array of integers, got ")
+
+
+def test_integral_numbers_accepted_in_integer_arrays():
+    # sweep writes floats, so 2.0 is as good as 2.
+    cfg = with_field(CUSTOM_CONFIG, "channel.shape", [4.0, 4.0])
+    cfg = with_field(cfg, "state.layout.sender_dims", [2.0])
+    assert run_scenario(cfg)[0].capacity_bits == run_scenario(CUSTOM_CONFIG)[0].capacity_bits
+    floats = with_field(bell_correlated_config(0.5), "state.dims", [2.0, 2.0])
+    floats["run_optimizer"] = False
+    ints = {**bell_correlated_config(0.5), "run_optimizer": False}
+    assert run_scenario(floats)[0].capacity_bits == run_scenario(ints)[0].capacity_bits
+
+
 class TestBellCorrelatedChannel:
     def test_joint_form_matches_singles_form(self):
         cfg = {**bell_correlated_config(0.5), "run_optimizer": False}
@@ -275,6 +342,35 @@ class TestVerify:
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
             run_verify("bogus")
+
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "twirl", lambda seed: [
+            cli.VerifyCheck("twirl", "forced", 1.0, 1e-10)])
+        assert main(["verify", "--suite", "twirl"]) == 1
+        assert capsys.readouterr().out == (
+            "[twirl] forced: max deviation 1.000e+00 (tol 1e-10) FAIL\n"
+            "verify summary: 0/1 checks passed\n")
+
+
+class TestUsageErrors:
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["capacity", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+    def test_sweep_without_steps(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(GHZ_CONFIG))
+        argv = ["sweep", "--config", str(cfg_path), "--param", "channel.q.0",
+                "--from", "0.5", "--to", "0.9", "--steps", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: sweep: steps must be >= 1\n"
+
+    def test_custom_without_optimizer(self, tmp_path, capsys):
+        status, err = run_cli_config(tmp_path, capsys,
+                                     {**CUSTOM_CONFIG, "run_optimizer": False})
+        assert status == 2
+        assert err == "error: config: run_optimizer=false needs a scenario with a closed form\n"
 
 
 class TestCommandLine:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from densecode.displacement import (
     verify_displacement_algebra,
 )
 from densecode.errors import LayoutError, ParameterError, SizeLimitError
-from densecode.linalg import random_density_matrix, random_hermitian
+from densecode.linalg import kron_all, random_density_matrix, random_hermitian
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -79,22 +80,41 @@ class TestLocalEncodingSet:
             SIGMA_1,
             np.array([[0, 1], [-1, 0]], dtype=complex),
         ]  # lexicographic in (m, n)
-        for got, want in zip(enc.operators, expected):
+        for got, want in zip(enc, expected):
             assert np.abs(got - want).max() < 1e-15
 
     def test_two_sender_cardinality(self):
         enc = local_encoding_set([2, 2])
         assert len(enc) == 16
-        assert enc.sender_dim == 4
+        assert enc.shape[-1] == 4
+
+    @pytest.mark.parametrize("dims", [[2], [3], [2, 2], [2, 3], [3, 3], [3, 2, 2],
+                                      [4, 4], [2] * 5])
+    def test_stack_equals_enumerated_kron_products(self, dims):
+        # Oracle: the kron_all left fold over every label combination, the
+        # construction the single broadcast kernel replaced.
+        per_sender = [[displacement_op(d, m, n) for m, n in label_pairs(d)] for d in dims]
+        want = np.stack([kron_all(c) for c in itertools.product(*per_sender)])
+        got = local_encoding_set(dims)
+        d_a = math.prod(dims)
+        assert isinstance(got, np.ndarray) and got.shape == (d_a * d_a, d_a, d_a)
+        assert np.array_equal(got, want)
+
+    def test_dimension_cap_stops_both_builders(self, monkeypatch):
+        # D_A = 64 is within ENCODING_SET_CAP (D_A^2 = 4096) but above the
+        # dimension cap, which must stop the build before it allocates.
+        monkeypatch.setenv("DENSECODE_MAX_DIM", "16")
+        for build in (local_encoding_set, sender_generators):
+            with pytest.raises(SizeLimitError, match="dimension 64 exceeds cap 16"):
+                build([8, 8])
 
     @pytest.mark.parametrize("dims", [[2], [3], [2, 2], [2, 3]])
     def test_hilbert_schmidt_orthogonality(self, dims):
         enc = local_encoding_set(dims)
-        d_a = enc.sender_dim
-        ops = enc.operators
+        d_a = enc.shape[-1]
         # brute-force pairwise traces: Gram matrix equals D_A * I
-        for i, a in enumerate(ops):
-            for j, b in enumerate(ops):
+        for i, a in enumerate(enc):
+            for j, b in enumerate(enc):
                 val = (a @ b.conj().T).trace()
                 expected = d_a if i == j else 0.0
                 assert abs(val - expected) < 1e-10
@@ -102,9 +122,9 @@ class TestLocalEncodingSet:
     def test_lexicographic_order_two_senders(self):
         enc = local_encoding_set([2, 2])
         # member index 1 is (m1, n1, m2, n2) = (0, 0, 0, 1): I x sigma_3
-        assert np.abs(enc.operators[1] - np.kron(np.eye(2), SIGMA_3)).max() < 1e-15
+        assert np.abs(enc[1] - np.kron(np.eye(2), SIGMA_3)).max() < 1e-15
         # member index 4 is (0, 1, 0, 0): sigma_3 x I
-        assert np.abs(enc.operators[4] - np.kron(SIGMA_3, np.eye(2))).max() < 1e-15
+        assert np.abs(enc[4] - np.kron(SIGMA_3, np.eye(2))).max() < 1e-15
 
     def test_enumeration_cap(self):
         with pytest.raises(SizeLimitError):
@@ -116,13 +136,14 @@ class TestLocalEncodingSet:
         # up to a phase: |tr(V^dag W)| = D_A for unitaries V, W.
         gens = sender_generators(dims)
         enc = local_encoding_set(dims)
-        assert len(gens) == 2 * len(dims)
+        assert isinstance(gens, np.ndarray)
+        assert gens.shape == (2 * len(dims), enc.shape[-1], enc.shape[-1])
         for labels, member in zip(itertools.product(*[label_pairs(d) for d in dims]),
-                                  enc.operators):
-            word = np.eye(enc.sender_dim)
+                                  enc):
+            word = np.eye(enc.shape[-1])
             for g, power in zip(gens, [x for lab in labels for x in lab]):
                 word = word @ np.linalg.matrix_power(g, power)
-            assert abs(abs(np.trace(member.conj().T @ word)) - enc.sender_dim) < 1e-12
+            assert abs(abs(np.trace(member.conj().T @ word)) - enc.shape[-1]) < 1e-12
 
 
 class TestTwirl:
@@ -140,7 +161,7 @@ class TestTwirl:
         x = random_hermitian(3, rng)
         # brute-force sum over the 9 operators
         acc = np.zeros((3, 3), dtype=complex)
-        for v in enc.operators:
+        for v in enc:
             acc += v @ x @ v.conj().T
         assert np.abs(twirl(enc, x) - acc / 9).max() < 1e-14
         assert np.abs(twirl(enc, x) - np.trace(x) * np.eye(3) / 3).max() < 1e-10
@@ -148,7 +169,7 @@ class TestTwirl:
     @pytest.mark.parametrize("dims", [[2], [3], [2, 2]])
     def test_projects_onto_identity_component(self, dims):
         enc = local_encoding_set(dims)
-        d_a = enc.sender_dim
+        d_a = enc.shape[-1]
         rng = np.random.default_rng(sum(dims))
         for _ in range(10):
             x = random_hermitian(d_a, rng) + 1j * random_hermitian(d_a, rng)

@@ -89,6 +89,15 @@ class TestKron:
         with pytest.raises(SizeLimitError):
             kron(np.eye(4), np.eye(4))
 
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "must be an integer, got 'abc'"),
+        ("1", "must be >= 2, got 1"),
+    ])
+    def test_malformed_env_var_rejected(self, monkeypatch, raw, message):
+        monkeypatch.setenv("DENSECODE_MAX_DIM", raw)
+        with pytest.raises(SizeLimitError, match=f"DENSECODE_MAX_DIM {message}"):
+            dimension_cap()
+
 
 class TestPartialTrace:
     def test_bell_marginal(self):
