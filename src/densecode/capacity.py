@@ -10,15 +10,22 @@ so the only hard part is the entropy minimization.  Every encoder is a point
 on a product of Stiefel manifolds {V : V^dag V = 1}: one (env_dim * d) x d
 isometry per sender in ``local`` mode or one joint factor in ``global`` mode,
 whose row blocks are Stinespring Kraus operators; a unitary is the case
-env_dim = 1.  Each restart runs ``minimize``, an L-BFGS in numpy (two-loop
-recursion over the last LBFGS_MEMORY steps, strong Wolfe line search), on
-the chart V = polar(V0 + Delta) around a plain start point V0, with the exact
-entropy gradient pulled back through the polar factor.  Factors of equal
-shape share one stacked chart, so an evaluation takes one batched SVD per
-shape.  A restart stops once max |gradient| <= GRAD_TOL, once an iteration
-lowers the entropy, or its search direction would to first order, by at
-most ENTROPY_FTOL (relative), the rounding floor of an entropy evaluation,
-or after max_iters iterations.  The gradient -2 Tr_B[G (K x 1) rho] is one
+env_dim = 1.  Each restart is an L-BFGS search in numpy (two-loop recursion
+over the last LBFGS_MEMORY steps, strong Wolfe line search) of the chart
+V = polar(V0 + Delta) around a plain start point V0, with the exact entropy
+gradient pulled back through the polar factor.  ``_lbfgs`` is a generator
+that yields each point it evaluates, and ``_lockstep`` advances every
+restart of a search together: each round it stacks the pending points of
+the live restarts and makes one objective call, whose channel applications,
+``eigh`` and SVDs run on the whole stack, then hands each restart its own
+row.  The stack is split only past STACK_ENTRY_CAP complex entries per
+D x D array, and a call that fails a check is repeated member by member, so
+an error aborts only its own restart.  Each restart takes exactly the steps
+it would take alone; ``minimize`` is the same driver on one start.  A
+restart stops once max |gradient| <= GRAD_TOL, once an iteration lowers the
+entropy, or its search direction would to first order, by at most
+ENTROPY_FTOL (relative), the rounding floor of an entropy evaluation, or
+after max_iters iterations.  The gradient -2 Tr_B[G (K x 1) rho] is one
 matmul with the trace over B folded into its contraction.  Every run keeps
 one restart pinned at the identity encoding, and derived searches are
 warm-started from the solutions of their restricted counterparts (global
@@ -29,6 +36,7 @@ hierarchy is monotone by construction.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import logging
 import math
@@ -40,7 +48,7 @@ import numpy as np
 from .channels import (
     CptpMap,
     PauliChannelSpec,
-    adjoint_map,
+    _stacked_maps,
     apply_channel,
     depolarizing_probs,
     product_probs,
@@ -58,6 +66,9 @@ from .linalg import (
     EIG_CLIP,
     SubsystemLayout,
     _conjugate_leading,
+    _dagger,
+    _entropy_from_eigenvalues,
+    _hermitian_eigh,
     _kron_stacks,
     as_complex_matrix,
     complex_gaussian,
@@ -208,7 +219,7 @@ LINE_SEARCH_EVALS = 20
 
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
-    """End of one ``minimize`` run: the last iterate and its value, the
+    """End of one L-BFGS run: the last iterate and its value, the
     iterations and evaluations spent, and ``status`` 0 when a stopping rule
     was met, 1 at the iteration limit, 2 when a line search failed."""
 
@@ -226,13 +237,13 @@ def _two_loop(g: np.ndarray, memory) -> np.ndarray:
     q = g.copy()
     alphas = []
     for s, y, r in reversed(memory):
-        alphas.append(r * (s @ q))
+        alphas.append(r * s.dot(q))
         q -= alphas[-1] * y
     if memory:
         _, y, r = memory[-1]
-        q /= r * (y @ y)
+        q /= r * y.dot(y)
     for (s, y, r), a in zip(memory, reversed(alphas)):
-        q += (a - r * (y @ q)) * s
+        q += (a - r * y.dot(q)) * s
     return q
 
 
@@ -255,21 +266,22 @@ def _cubic_step(lo, hi) -> float:
     return a0 + t * width
 
 
-def _line_search(fun, x, f0: float, g0, d, step: float):
-    """(step, value, gradient) along d meeting the strong Wolfe conditions
-    f <= f0 + WOLFE_C1 step g0.d and |g.d| <= WOLFE_C2 |g0.d|, or None when
-    LINE_SEARCH_EVALS evaluations find none.
+def _line_search(x, f0: float, g0, d, step: float):
+    """Generator of the trial points of a line search along d, each answered
+    with its (value, gradient); returns the (step, value, gradient) meeting
+    the strong Wolfe conditions f <= f0 + WOLFE_C1 step g0.d and
+    |g.d| <= WOLFE_C2 |g0.d|, or None when LINE_SEARCH_EVALS trials find none.
 
     Nocedal & Wright's Algorithms 3.5 and 3.6 in one loop: lo is the best
     step with sufficient decrease so far, hi the other end of a bracket once
     one is known.  Without a bracket the trial step grows fourfold, the
     Moré-Thuente bound on extrapolation; with one it is ``_cubic_step``.
     """
-    slope0 = g0 @ d
+    slope0 = g0.dot(d)
     lo, hi = (0.0, f0, slope0), None
     for _ in range(LINE_SEARCH_EVALS):
-        f, g = fun(x + step * d)
-        slope = g @ d
+        f, g = yield x + step * d
+        slope = g.dot(d)
         if f > f0 + WOLFE_C1 * step * slope0 or f >= lo[1]:
             hi = (step, f, slope)
         elif abs(slope) <= -WOLFE_C2 * slope0:
@@ -282,8 +294,10 @@ def _line_search(fun, x, f0: float, g0, d, step: float):
     return None
 
 
-def minimize(fun, x0, max_iters: int) -> MinimizeResult:
-    """Minimize ``fun(x) -> (value, gradient)`` from ``x0`` by L-BFGS.
+def _lbfgs(x0, max_iters: int):
+    """Generator of the points at which one L-BFGS run from ``x0`` evaluates
+    its objective, each answered with its (value, gradient); returns
+    (x, value, nit, status) as ``MinimizeResult`` describes them.
 
     Each iteration steps along -H g, H from ``_two_loop`` over the last
     LBFGS_MEMORY steps, by a strong Wolfe line search that tries step
@@ -292,39 +306,71 @@ def minimize(fun, x0, max_iters: int) -> MinimizeResult:
     at most ENTROPY_FTOL relative to max(|f_k|, |f_k+1|, 1), or once -g.d,
     the first-order decrease along d, is at most ENTROPY_FTOL relative to
     max(|f_k|, 1); with status 1 after ``max_iters`` iterations and with
-    status 2 when a line search fails.  Errors raised by ``fun`` propagate.
+    status 2 when a line search fails.
     """
-    nfev = 0
-
-    def evaluate(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(x)
-
     x = np.array(x0, dtype=float)
-    f, g = evaluate(x)
+    f, g = yield x
     memory = collections.deque(maxlen=LBFGS_MEMORY)
     nit = 0
     while np.abs(g).max() > GRAD_TOL:
         if nit >= max_iters:
-            return MinimizeResult(x, f, nit, nfev, 1)
+            return x, f, nit, 1
         d = -_two_loop(g, memory)
-        if -(g @ d) <= ENTROPY_FTOL * max(abs(f), 1.0):
+        if -g.dot(d) <= ENTROPY_FTOL * max(abs(f), 1.0):
             break
         step = min(1.0, 1.0 / np.linalg.norm(d)) if nit == 0 else 1.0
-        found = _line_search(evaluate, x, f, g, d, step)
+        found = yield from _line_search(x, f, g, d, step)
         if found is None:
-            return MinimizeResult(x, f, nit, nfev, 2)
+            return x, f, nit, 2
         step, f_new, g_new = found
         s, y = step * d, g_new - g
-        if s @ y > 0.0:
-            memory.append((s, y, 1.0 / (s @ y)))
+        sy = s.dot(y)
+        if sy > 0.0:
+            memory.append((s, y, 1.0 / sy))
         x = x + s
         nit += 1
         f, f_old, g = f_new, f, g_new
         if f_old - f <= ENTROPY_FTOL * max(abs(f_old), abs(f), 1.0):
             break
-    return MinimizeResult(x, f, nit, nfev, 0)
+    return x, f, nit, 0
+
+
+def _lockstep(evaluate, x0s, max_iters: int) -> list:
+    """One ``_lbfgs`` run from each start point, all advanced together: each
+    round stacks the pending points of the live runs into one (B, P) array
+    and makes one call ``evaluate(ids, xs)``, ids the runs' indices in
+    ``x0s``, which returns one outcome per row: its (value, gradient), or the
+    exception that ends that run alone.  Returns per start its
+    MinimizeResult or that exception; an exception raised by ``evaluate``
+    propagates.
+    """
+    runs = [_lbfgs(x0, max_iters) for x0 in x0s]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    nfev = [0] * len(runs)
+    results: list = [None] * len(runs)
+    while pending:
+        ids = list(pending)
+        outcomes = evaluate(ids, np.stack([pending[i] for i in ids]))
+        pending = {}
+        for i, outcome in zip(ids, outcomes, strict=True):
+            if isinstance(outcome, BaseException):
+                results[i] = outcome
+                continue
+            nfev[i] += 1
+            try:
+                pending[i] = runs[i].send(outcome)
+            except StopIteration as stop:
+                x, f, nit, status = stop.value
+                results[i] = MinimizeResult(x, f, nit, nfev[i], status)
+    return results
+
+
+def minimize(fun, x0, max_iters: int) -> MinimizeResult:
+    """Minimize ``fun(x) -> (value, gradient)`` from ``x0`` by L-BFGS: the
+    ``_lockstep`` driver on one start (see ``_lbfgs`` for the steps and the
+    stopping rules).  Errors raised by ``fun`` propagate."""
+    (result,) = _lockstep(lambda ids, xs: [fun(xs[0])], [x0], max_iters)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +393,24 @@ def _factor_dims(layout: SubsystemLayout, mode: str) -> tuple[int, ...]:
 
 
 def _factor_grads(grad: np.ndarray, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Gradients of the per-factor stacks from that of the joint stack: each
-    contracts the joint gradient with the conjugate kron of the other factors."""
+    """Gradients of the per-factor (..., env, d, d) stacks from that of the
+    joint (..., T, D_A, D_A) stack: each contracts the joint gradient with the
+    conjugate kron of the other factors."""
     k = len(factors)
     if k == 1:
         return [grad]
-    grad = grad.reshape([f.shape[0] for f in factors] + [f.shape[1] for f in factors] * 2)
+    lead = grad.shape[:-3]
+    m = len(lead)
+    grad = grad.reshape(lead + tuple(f.shape[-3] for f in factors)
+                        + tuple(f.shape[-2] for f in factors) * 2)
     out = []
     for j, f in enumerate(factors):
-        rest = [m for m in range(3 * k) if m % k != j]
+        rest = [m + a for a in range(3 * k) if a % k != j]
         others = _kron_stacks(factors[:j] + factors[j + 1:])
-        mine = grad.transpose([j, k + j, 2 * k + j] + rest).reshape(f.size, -1)
-        out.append((mine @ others.conj().ravel()).reshape(f.shape))
+        mine = grad.transpose(list(range(m)) + [m + j, m + k + j, m + 2 * k + j] + rest)
+        mine = mine.reshape(lead + (math.prod(f.shape[-3:]), -1))
+        out.append((mine @ others.conj().reshape(lead + (-1, 1))).reshape(f.shape))
     return out
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def _polar_chart(v0: np.ndarray, delta: np.ndarray):
@@ -392,16 +439,31 @@ def _polar_chart(v0: np.ndarray, delta: np.ndarray):
     return u @ wh, pullback
 
 
-def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int):
-    """objective(factors) -> (S(Lambda(encoded rho)) in bits, dS/dV per factor).
+# Complex entries of one stacked D x D array of the objective: a stack of
+# encoders is evaluated in calls of at most max(1, STACK_ENTRY_CAP // D^2)
+# members.  Stacking pays for the per-call overhead that dominates at small
+# D; from D = 128 on a search runs one member per call, in the memory of a
+# single restart.  (At D = 256 with 16 restarts, one call for all peaked at
+# 148 MB against 54 MB for one member per call, and was not faster.)  16
+# restarts share one call up to D = 32.
+STACK_ENTRY_CAP = 2**14
 
-    Each factor V is a (env_dim * d) x d isometry whose row blocks are its
-    Kraus operators.  Gradients are d/dRe + i d/dIm.  With
-    G = Lambda^dag(log2 sigma), eigenvalues clipped at EIG_CLIP, the joint
-    Kraus operators get dS/dconj(K_t) = -2 Tr_B[G (K_t x 1) rho]; the
-    d tr(sigma) term is left out, as it vanishes along isometries.
+
+def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int):
+    """objective(vs) -> (S(Lambda(encoded rho)) in bits, dS/dV per factor) for
+    a stack of B encoders: vs holds per factor a (B, env_dim * d, d) stack of
+    isometries, whose row blocks are its Kraus operators, and the result is
+    the B values and per factor the (B, env_dim * d, d) gradients.
+
+    Gradients are d/dRe + i d/dIm.  With G = Lambda^dag(log2 sigma),
+    eigenvalues clipped at EIG_CLIP, the joint Kraus operators get
+    dS/dconj(K_t) = -2 Tr_B[G (K_t x 1) rho]; the d tr(sigma) term is left
+    out, as it vanishes along isometries.  One ``eigh`` per member serves the
+    value and G.  Each member is checked as the public functions check one
+    operator (trace, Hermiticity, positivity); a failure raises
+    NumericalError for the whole call.
     """
-    adjoint = adjoint_map(channel, layout)
+    forward, adjoint = _stacked_maps(channel, layout)
     da, db = layout.sender_dim, layout.receiver_dim
     # Tr_B[G (K x 1) rho][a, z] = sum_bxy G[a b, x y] ((K x 1) rho)[x y, z b]
     # is one matmul of G, read as rows a by columns (b, x, y), with
@@ -409,69 +471,103 @@ def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int
     # c of columns[b, c, (y, z)] = rho[c y, z b].  Only the blocks the trace
     # over B keeps are formed.
     columns = rho.reshape(da, db, da, db).transpose(3, 0, 1, 2).reshape(db, da, db * da)
+    size = max(1, STACK_ENTRY_CAP // layout.total_dim**2)
+
+    def members(vs):
+        factors = [v.reshape(len(v), env_dim, d, d) for v, d in zip(vs, dims)]
+        ks = _kron_stacks(factors)
+        sigma = forward(_encode_with_kraus(rho, ks, layout))
+        w, u = _hermitian_eigh(sigma)
+        values = np.array([_entropy_from_eigenvalues(wm) for wm in w])
+        g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))[..., None, :]) @ _dagger(u))
+        kron_rho = ks[..., None, :, :] @ columns
+        grad = -2.0 * (g.reshape(len(g), 1, da, -1)
+                       @ kron_rho.reshape(ks.shape[:2] + (-1, da)))
+        return values, [gr.reshape(v.shape) for gr, v in zip(_factor_grads(grad, factors), vs)]
 
     def objective(vs):
-        factors = [v.reshape(env_dim, d, d) for v, d in zip(vs, dims)]
-        ks = _kron_stacks(factors)
-        sigma = apply_channel(channel, _encode_with_kraus(rho, ks, layout), layout)
-        w, u = np.linalg.eigh(sigma)
-        g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))) @ _dagger(u))
-        kron_rho = ks[:, None] @ columns
-        grad = -2.0 * (g.reshape(da, -1) @ kron_rho.reshape(len(ks), -1, da))
-        grads = _factor_grads(grad, factors)
-        return von_neumann_entropy(sigma), [
-            gr.reshape(env_dim * d, d) for gr, d in zip(grads, dims)]
+        if len(vs[0]) <= size:
+            return members(vs)
+        parts = [members([v[lo:lo + size] for v in vs]) for lo in range(0, len(vs[0]), size)]
+        return (np.concatenate([values for values, _ in parts]),
+                [np.concatenate(g) for g in zip(*(grads for _, grads in parts))])
 
     return objective
 
 
-def _on_chart(objective, v0: Sequence[np.ndarray]):
-    """(fun, point) for ``minimize``: point(x) holds polar(V0_j + Delta_j), and
-    fun(x) is the objective there with its exact gradient in x.
+def _on_chart(objective, v0s: Sequence[Sequence[np.ndarray]]):
+    """(fun, point) for a stack of restarts, v0s[i] the start factors V0 of
+    restart i.  fun(ids, xs) is the stacked objective at polar(V0_j + Delta_j)
+    for the restarts ``ids``, row r of xs the chart point of restart ids[r],
+    with its exact gradient in each row; point(i, x) holds the factors of
+    restart i at x.
 
-    Factors of equal shape share one stacked chart; x holds the Delta of each
-    stack in turn, in order of the stack's first factor, as interleaved
-    real/imaginary pairs.  A non-finite value or gradient raises
+    Factors of equal shape share one chart stacked over restarts and factors,
+    so an evaluation takes one batched SVD and one pullback per shape; x
+    holds the Delta of each shape in turn, in order of its first factor, as
+    interleaved real/imaginary pairs.  A non-finite value or gradient raises
     NumericalError, so the restart is aborted rather than recorded.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
-    for j, v in enumerate(v0):
+    for j, v in enumerate(v0s[0]):
         groups.setdefault(v.shape, []).append(j)
-    stacks = [(idx, np.stack([v0[j] for j in idx])) for idx in groups.values()]
-    ends = np.cumsum([base.size for _, base in stacks])
+    stacks = [(idx, np.stack([[v0[j] for j in idx] for v0 in v0s]))
+              for idx in groups.values()]
+    ends = np.cumsum([base[0].size for _, base in stacks])
 
-    def charts(x):
-        z = np.asarray(x, dtype=float).view(complex)
-        vs, pullbacks = [None] * len(v0), []
+    def charts(ids, xs):
+        z = np.asarray(xs, dtype=float).view(complex)
+        vs, pullbacks = [None] * len(v0s[0]), []
         for (idx, base), end in zip(stacks, ends):
-            v, pullback = _polar_chart(base, z[end - base.size:end].reshape(base.shape))
-            for j, vj in zip(idx, v):
+            delta = z[:, end - base[0].size:end].reshape((len(ids),) + base.shape[1:])
+            v, pullback = _polar_chart(base[ids], delta)
+            for j, vj in zip(idx, v.swapaxes(0, 1)):
                 vs[j] = vj
             pullbacks.append(pullback)
         return vs, pullbacks
 
-    def fun(x):
-        vs, pullbacks = charts(x)
-        value, grads = objective(vs)
+    def fun(ids, xs):
+        vs, pullbacks = charts(ids, xs)
+        values, grads = objective(vs)
         grad = np.concatenate([
-            pullback(np.stack([grads[j] for j in idx])).ravel()
-            for (idx, _), pullback in zip(stacks, pullbacks)]).view(float)
-        if not (math.isfinite(value) and np.isfinite(grad).all()):
-            raise NumericalError(f"non-finite objective {value} or gradient")
-        return value, grad
+            pullback(np.stack([grads[j] for j in idx], axis=1)).reshape(len(ids), -1)
+            for (idx, _), pullback in zip(stacks, pullbacks)], axis=1).view(float)
+        finite = np.isfinite(values) & np.isfinite(grad).all(axis=1)
+        if not finite.all():
+            raise NumericalError(f"non-finite objective {values[~finite][0]} or gradient")
+        return values, grad
 
-    return fun, lambda x: charts(x)[0]
+    return fun, lambda i, x: [v[0] for v in charts([i], x[None])[0]]
+
+
+def _members(call, ids, xs) -> list:
+    """One outcome per member of a stacked ``call(ids, xs)``, which returns a
+    tuple of arrays with one row per member: the member's row of each, or the
+    error that aborts it.  A stacked call that raises NumericalError or
+    FloatingPointError is repeated one member at a time, so that an error
+    aborts only the member that raises it."""
+    try:
+        return list(zip(*call(ids, xs)))
+    except (NumericalError, FloatingPointError) as exc:
+        if len(ids) == 1:
+            return [exc]
+        return [out for i in range(len(ids))
+                for out in _members(call, ids[i:i + 1], xs[i:i + 1])]
 
 
 def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm=()):
     """Best entropy over restarts, each one L-BFGS search of the polar chart
-    around a plain start point; returns (entropy, factors, trace).
+    around a plain start point, all run in lockstep by ``_lockstep`` on the
+    stacked ``objective`` (see ``_entropy_objective``); returns (entropy,
+    factors, trace).
 
     Restart 0 starts at the identity [1; 0], restarts 1..restarts-1 at seeded
     random isometries, and the warm points follow.  With env_dim > 1 the
     identity and warm restarts search from polar(V0 + CPTP_KICK [0; X]), X
-    seeded from cfg.seed, and keep V0 itself as a candidate.  Ties between
-    restarts break toward the lowest restart id.
+    seeded from cfg.seed, and keep V0 itself as a candidate.  An error in a
+    restart's evaluation aborts that restart alone, and is logged in restart
+    order once the search ends.  Ties between restarts break toward the
+    lowest restart id.
     """
     starts = [[np.eye(env_dim * d, d, dtype=complex) for d in dims]]
     for rid in range(1, cfg.restarts):
@@ -483,23 +579,42 @@ def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm
                        CPTP_KICK * complex_gaussian((env_dim - 1) * d, d, rng)])
             for d in dims]
 
+    found: list[list] = [[] for _ in starts]
+    errors: dict[int, BaseException] = {}
+    kicked = [rid for rid in range(len(starts))
+              if env_dim > 1 and (rid == 0 or rid >= cfg.restarts)]
+    if kicked:
+        def values_at(ids, v0s):
+            values, _ = objective([np.stack(f) for f in zip(*v0s)])
+            return (values,)
+
+        for rid, out in zip(kicked, _members(values_at, kicked, [starts[r] for r in kicked])):
+            if isinstance(out, BaseException):
+                errors[rid] = out
+                continue
+            found[rid].append((float(out[0]), starts[rid]))
+            starts[rid] = [_polar_chart(v, x)[0] for v, x in zip(starts[rid], kick)]
+    live = [rid for rid in range(len(starts)) if rid not in errors]
+    if live:
+        fun, point = _on_chart(objective, [starts[rid] for rid in live])
+        x0 = np.zeros(2 * sum(v.size for v in starts[0]))
+        results = _lockstep(functools.partial(_members, fun), [x0] * len(live),
+                            cfg.max_iters)
+        for i, (rid, result) in enumerate(zip(live, results)):
+            if isinstance(result, BaseException):
+                errors[rid] = result
+            else:
+                found[rid].append((float(result.fun), point(i, result.x)))
+
     trace: list[tuple[int, float]] = []
     best_value, best = np.inf, None
-    for rid, v0 in enumerate(starts):
-        found = []
-        try:
-            if env_dim > 1 and (rid == 0 or rid >= cfg.restarts):
-                found.append((objective(v0)[0], v0))
-                v0 = [_polar_chart(v, x)[0] for v, x in zip(v0, kick)]
-            fun, point = _on_chart(objective, v0)
-            result = minimize(fun, np.zeros(2 * sum(v.size for v in v0)),
-                              max_iters=cfg.max_iters)
-            found.append((float(result.fun), point(result.x)))
-        except (NumericalError, FloatingPointError) as exc:
+    for rid, candidates in enumerate(found):
+        if rid in errors:
+            exc = errors[rid]
             logger.warning("restart %d aborted: %s: %s", rid, type(exc).__name__, exc)
-        if not found:
+        if not candidates:
             continue
-        value, vs = min(found, key=lambda c: c[0])
+        value, vs = min(candidates, key=lambda c: c[0])
         trace.append((rid, value))
         if value < best_value:
             best_value, best = value, vs

@@ -72,9 +72,10 @@ class SinglePartyPauliSpec:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (self.d, self.d):
             raise ProbabilityError(f"q table must be {self.d}x{self.d}, got {q.shape}")
-        if q.min() < 0:
-            raise ProbabilityError(f"negative channel probability {q.min()!r}")
-        if abs(q.sum() - 1.0) > 1e-12:
+        # Written so that a NaN entry fails them.
+        if not q.min() >= 0:
+            raise ProbabilityError(f"negative or NaN channel probability {float(q.min())!r}")
+        if not abs(q.sum() - 1.0) <= 1e-12:
             raise ProbabilityError(f"channel probabilities sum to {q.sum()!r}")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -94,12 +95,14 @@ class CorrelationSpec:
         mu = np.asarray(self.mu, dtype=float)
         if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
             raise ParameterError(f"mu must be square, got shape {mu.shape}")
+        # Written so that a NaN entry fails it; checked first, as an infinite
+        # entry would make the symmetry check's difference NaN.
+        if not (mu.min() >= 0 and mu.max() <= 1):
+            raise ParameterError("correlation degrees must lie in [0, 1]")
         if np.abs(mu - mu.T).max() > 0:
             raise ParameterError("mu must be symmetric")
         if np.abs(np.diag(mu)).max() > 0:
             raise ParameterError("mu diagonal must be zero")
-        if mu.min() < 0 or mu.max() > 1:
-            raise ParameterError("correlation degrees must lie in [0, 1]")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
@@ -141,9 +144,9 @@ class PauliChannelSpec:
             raise SizeLimitError(f"joint tensor has {joint.size} entries")
         if len(acts_on) != len(party_dims):
             raise LayoutError("need one slot index per party")
-        if joint.min() < 0:
-            raise ProbabilityError(f"negative joint probability {joint.min()!r}")
-        if abs(joint.sum() - 1.0) > 1e-10:
+        if not joint.min() >= 0:
+            raise ProbabilityError(f"negative or NaN joint probability {float(joint.min())!r}")
+        if not abs(joint.sum() - 1.0) <= 1e-10:
             raise ProbabilityError(f"joint tensor sums to {joint.sum()!r}")
         joint.setflags(write=False)
         object.__setattr__(self, "party_dims", party_dims)
@@ -314,7 +317,7 @@ def fully_correlated_probs(parties: int, q: Sequence[float]) -> PauliChannelSpec
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise ProbabilityError(f"need 4 probabilities, got shape {q.shape}")
-    if q.min() < 0 or abs(q.sum() - 1.0) > 1e-12:
+    if not (q.min() >= 0 and abs(q.sum() - 1.0) <= 1e-12):
         raise ProbabilityError(f"invalid probability vector {q!r}")
     if 4 ** parties > JOINT_TENSOR_CAP:
         raise SizeLimitError(f"joint tensor would have {4 ** parties} entries")
@@ -417,20 +420,23 @@ def apply_pauli(
     terms; no per-term operator or Choi matrix is formed.
     """
     kernel = _weyl_kernel(spec, layout)
-    return _weyl_apply(kernel, as_complex_matrix(rho, "rho"), kernel.eigen)
+    rho = _on_layout(as_complex_matrix(rho, "rho"), layout.total_dim)
+    return _weyl_apply(kernel, rho, kernel.eigen)
 
 
 def _weyl_apply(kernel: _WeylKernel, rho: np.ndarray, eigen: np.ndarray) -> np.ndarray:
     """``kernel``'s gather, Fourier products and scatter around a multiply by
-    ``eigen``: its eigenvalues for the channel, conjugated for the adjoint."""
-    shifted = np.take(_on_layout(rho, len(eigen)), kernel.gather)
+    ``eigen``, its eigenvalues for the channel, conjugated for the adjoint, on
+    each member of a (..., D, D) stack, whose trace it checks member by member."""
+    lead = rho.shape[:-2]
+    shifted = np.take(rho.reshape(lead + (-1,)), kernel.gather, axis=-1)
     result = ((shifted @ kernel.fourier) * eigen) @ kernel.inverse
     # Row delta = 0 holds the diagonal, of the state and of the output.
-    trace_dev = abs(result[0].sum() - shifted[0].sum())
-    if trace_dev > 1e-10:
-        raise NumericalError(f"channel failed to preserve trace by {trace_dev:.3e}")
+    trace_dev = np.abs(result[..., 0, :].sum(axis=-1) - shifted[..., 0, :].sum(axis=-1))
+    if trace_dev.max() > 1e-10:
+        raise NumericalError(f"channel failed to preserve trace by {trace_dev.max():.3e}")
     out = np.empty(rho.shape, dtype=complex)
-    out.reshape(-1)[kernel.gather] = result
+    out.reshape(lead + (-1,))[..., kernel.gather] = result
     return out
 
 
@@ -446,11 +452,17 @@ def apply_cptp(
     perm = slots + [s for s in range(len(dims)) if s not in slots]
     front = permute_slots(rho, dims, perm)
     moved = [dims[s] for s in perm]
-    out = _conjugate_leading(front, cptp.kraus, math.prod(moved[:len(slots)]))
-    out = permute_slots(out, moved, [perm.index(s) for s in range(len(dims))])
-    trace_dev = abs(out.trace() - rho.trace())
-    if trace_dev > 1e-9:
-        raise NumericalError(f"CPTP map failed to preserve trace by {trace_dev:.3e}")
+    out = _kraus_apply(cptp.kraus, front, math.prod(moved[:len(slots)]))
+    return permute_slots(out, moved, [perm.index(s) for s in range(len(dims))])
+
+
+def _kraus_apply(kraus: np.ndarray, rho: np.ndarray, a: int) -> np.ndarray:
+    """A Kraus stack on the leading factor, of dimension ``a``, of each member
+    of a (..., n, n) stack, whose trace it checks member by member."""
+    out = _conjugate_leading(rho, kraus, a)
+    trace_dev = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho, axis1=-2, axis2=-1))
+    if trace_dev.max() > 1e-9:
+        raise NumericalError(f"CPTP map failed to preserve trace by {trace_dev.max():.3e}")
     return out
 
 
@@ -485,14 +497,26 @@ def adjoint_map(channel, layout: SubsystemLayout):
     real error rates that is the conjugate eigenvalues on the channel's own
     cached Weyl kernel.  A Kraus map's is Y -> sum_t K_t^dag Y K_t.
     """
+    adjoint = _stacked_maps(channel, layout)[1]
+    total = layout.total_dim
+    return lambda y: adjoint(_on_layout(y, total))
+
+
+def _stacked_maps(channel, layout: SubsystemLayout):
+    """(Lambda, Lambda^dag) on (..., D, D) stacks of operators on ``layout``,
+    member by member and without the public functions' input checks: the
+    channel's Weyl kernel with its eigenvalues and their conjugates, or its
+    Kraus stack and their adjoints.  Lambda checks each member's trace."""
     if isinstance(channel, PauliChannelSpec):
         kernel = _weyl_kernel(channel, layout)
         eigen = kernel.eigen.conj()
-        return lambda y: _weyl_apply(kernel, y, eigen)
+        return (lambda x: _weyl_apply(kernel, x, kernel.eigen),
+                lambda y: _weyl_apply(kernel, y, eigen))
     if isinstance(channel, CptpMap):
-        daggers = channel.kraus.conj().transpose(0, 2, 1)
-        total = layout.total_dim
-        return lambda y: _conjugate_leading(_on_layout(y, total), daggers, total)
+        kraus, total = channel.kraus, layout.total_dim
+        daggers = kraus.conj().transpose(0, 2, 1)
+        return (lambda x: _kraus_apply(kraus, x, total),
+                lambda y: _conjugate_leading(y, daggers, total))
     raise ChannelError(f"unsupported channel type {type(channel).__name__}")
 
 

@@ -201,7 +201,6 @@ def _entropy_from_eigenvalues(w: np.ndarray) -> float:
         raise NumericalError(
             f"entropy of indefinite operator: min eigenvalue {w.min():.3e}"
         )
-    w = np.clip(w, 0.0, None)
     w = w[w > EIG_CLIP]
     return float(-(w * np.log2(w)).sum())
 
@@ -226,35 +225,53 @@ def shannon_entropy(p) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _hermitian_eigh(sigma: np.ndarray):
+    """``eigh`` of a (..., n, n) stack, each member first checked as
+    ``von_neumann_entropy`` checks its input: finite, and Hermitian to 1e-8."""
+    if not np.isfinite(sigma).all():
+        raise NumericalError("entropy of an operator with non-finite entries")
+    dev = np.abs(sigma - _dagger(sigma)).max(axis=(-2, -1))
+    if dev.max() > 1e-8:
+        raise NumericalError(f"entropy of non-Hermitian operator (dev {dev.max():.3e})")
+    return np.linalg.eigh(sigma)
+
+
 def _conjugate_leading(rho, ks, a: int) -> np.ndarray:
-    """sum_t (K_t x 1) rho (K_t x 1)^dag for a (T, a, a) stack of operators on
-    the leading factor, of dimension ``a``, of ``rho``.
+    """sum_t (K_t x 1) rho (K_t x 1)^dag for a (..., T, a, a) stack of
+    operators on the leading factor, of dimension ``a``, of a (..., n, n)
+    stack ``rho``; leading axes of the two broadcast.
 
     With rho read as (a, b, a, b), the left factor is one matmul on the
     (a, b*a*b) view and the right one a batched matmul on the (a*b, a, b)
     view of the result; K x 1 is never formed and nothing is transposed.
     """
-    n = rho.shape[0]
-    if ks.ndim != 3 or ks.shape[1:] != (a, a) or n % a:
+    n = rho.shape[-1]
+    if ks.ndim < 3 or ks.shape[-2:] != (a, a) or n % a:
         raise LayoutError(
             f"operator stack of shape {ks.shape} does not act on a leading "
             f"factor of dimension {a} of a dimension-{n} state"
         )
     b = n // a
-    left = ks @ rho.reshape(a, n * b)
-    right = ks.conj()[:, None] @ left.reshape(len(ks), n, a, b)
-    return right.sum(axis=0).reshape(n, n)
+    left = ks @ rho.reshape(rho.shape[:-2] + (1, a, n * b))
+    right = ks.conj()[..., None, :, :] @ left.reshape(left.shape[:-2] + (n, a, b))
+    return right.sum(axis=-4).reshape(right.shape[:-4] + (n, n))
 
 
 def _kron_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Every kron product of one operator from each (T_j, n_j, m_j) stack,
-    the first stack's index varying slowest, as a (prod T_j, prod n_j,
-    prod m_j) stack: ``kron_all`` of each combination, one broadcast multiply
-    per factor."""
+    """Every kron product of one operator from each (..., T_j, n_j, m_j)
+    stack, the first stack's index varying slowest, as a (..., prod T_j,
+    prod n_j, prod m_j) stack: ``kron_all`` of each combination, one broadcast
+    multiply per factor.  Leading axes broadcast."""
     ks = stacks[0]
     for f in stacks[1:]:
-        ks = (ks[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(
-            len(ks) * len(f), ks.shape[1] * f.shape[1], -1)
+        (t, n, m), (u, p, q) = ks.shape[-3:], f.shape[-3:]
+        ks = ks[..., :, None, :, None, :, None] * f[..., None, :, None, :, None, :]
+        ks = ks.reshape(ks.shape[:-6] + (t * u, n * p, m * q))
     return ks
 
 

@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 
@@ -258,6 +259,38 @@ def tensordot_objective(rho, channel, layout, dims, env):
     return objective
 
 
+def stacked(objective):
+    """A one-encoder objective, vs -> (value, per-factor gradients), as a
+    stacked one that runs it member by member."""
+    def run(vs):
+        outs = [objective(list(member)) for member in zip(*vs)]
+        return (np.array([value for value, _ in outs]),
+                [np.stack(g) for g in zip(*(grads for _, grads in outs))])
+
+    return run
+
+
+def one_member(objective):
+    """A stacked objective on the one encoder vs: (value, per-factor gradients)."""
+    def run(vs):
+        values, grads = objective([v[None] for v in vs])
+        return values[0], [g[0] for g in grads]
+
+    return run
+
+
+def one_chart(objective, v0):
+    """``_on_chart`` on the one restart v0: fun(x) -> (value, gradient) and
+    point(x)."""
+    fun, point = _on_chart(objective, [v0])
+
+    def one(x):
+        values, grads = fun([0], x[None])
+        return values[0], grads[0]
+
+    return one, lambda x: point(0, x)
+
+
 class TestEntropyGradient:
     @settings(max_examples=30, deadline=None)
     @given(chart_problems())
@@ -265,7 +298,7 @@ class TestEntropyGradient:
         layout, dims, env, rho, spec, v0, x = problem
         grads = []
         for channel in (spec, pauli_kraus(spec)):
-            fun, _ = _on_chart(_entropy_objective(rho, channel, layout, dims, env), v0)
+            fun, _ = one_chart(_entropy_objective(rho, channel, layout, dims, env), v0)
             _, grad = fun(x)
             assert np.abs(grad - central_difference_gradient(fun, x)).max() < 1e-6
             grads.append(grad)
@@ -278,7 +311,7 @@ class TestEntropyGradient:
         # same channel as a Pauli spec and as its Kraus map.
         layout, dims, env, rho, spec, v0, _ = problem
         for channel in (spec, pauli_kraus(spec)):
-            value, grads = _entropy_objective(rho, channel, layout, dims, env)(v0)
+            value, grads = one_member(_entropy_objective(rho, channel, layout, dims, env))(v0)
             want_value, want_grads = tensordot_objective(rho, channel, layout, dims, env)(v0)
             assert abs(value - want_value) <= 1e-12
             for got, want in zip(grads, want_grads, strict=True):
@@ -351,12 +384,14 @@ class TestParameterizations:
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(2, 2, 2), (2, 3), (3, 2, 3), (4,), (8,)]),
-           st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_stacked_chart_matches_factor_loop(self, dims, env, seed):
+           st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_stacked_chart_matches_factor_loop(self, dims, env, restarts, seed):
         # Local factors of equal and of mixed dims, a joint global factor,
-        # environments 1-3: the stacked chart against one chart per factor.
+        # environments 1-3, 1-3 restarts: the chart stacked over restarts and
+        # factors against one chart per factor of each restart.
         rng = np.random.default_rng(seed)
-        v0 = [random_isometry(env * d, d, rng) for d in dims]
+        v0s = [[random_isometry(env * d, d, rng) for d in dims] for _ in range(restarts)]
+        v0 = v0s[0]
         targets = [rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
                    for v in v0]
 
@@ -364,14 +399,15 @@ class TestParameterizations:
             # Re sum_j <C_j, V_j>, whose gradient d/dRe + i d/dIm is C_j.
             return float(sum(np.vdot(c, v).real for c, v in zip(targets, vs))), targets
 
-        x = 0.3 * rng.standard_normal(2 * sum(v.size for v in v0))
-        fun, point = _on_chart(linear, v0)
-        value, grad = fun(x)
-        want_value, want_grad, want_vs = factor_loop_chart(linear, v0, x)
-        assert abs(value - want_value) <= 1e-12
-        assert np.abs(grad - want_grad).max() <= 1e-12
-        for got, want in zip(point(x), want_vs, strict=True):
-            assert np.abs(got - want).max() <= 1e-12
+        xs = 0.3 * rng.standard_normal((restarts, 2 * sum(v.size for v in v0)))
+        fun, point = _on_chart(stacked(linear), v0s)
+        values, grads = fun(list(range(restarts)), xs)
+        for i, (v0, x, value, grad) in enumerate(zip(v0s, xs, values, grads, strict=True)):
+            want_value, want_grad, want_vs = factor_loop_chart(linear, v0, x)
+            assert abs(value - want_value) <= 1e-12
+            assert np.abs(grad - want_grad).max() <= 1e-12
+            for got, want in zip(point(i, x), want_vs, strict=True):
+                assert np.abs(got - want).max() <= 1e-12
         for shape in {v.shape for v in v0}:
             group = [j for j, v in enumerate(v0) if v.shape == shape]
             deltas = [targets[j] * 0.1 for j in group]
@@ -435,13 +471,13 @@ def shifted_rosenbrocks(draw):
 
 
 def recording_line_search(patch):
-    """Wrap ``capacity._line_search`` through ``patch`` (a MonkeyPatch) and
-    return the list it fills with (f0, slope0, step, f, slope) per accepted
-    step, slopes taken along the step's direction."""
+    """Wrap the ``capacity._line_search`` generator through ``patch`` (a
+    MonkeyPatch) and return the list it fills with (f0, slope0, step, f,
+    slope) per accepted step, slopes taken along the step's direction."""
     accepted, line_search = [], capacity._line_search
 
-    def recording(fun, x, f0, g0, d, step):
-        found = line_search(fun, x, f0, g0, d, step)
+    def recording(x, f0, g0, d, step):
+        found = yield from line_search(x, f0, g0, d, step)
         if found is not None:
             accepted.append((f0, g0 @ d, found[0], found[1], found[2] @ d))
         return found
@@ -532,17 +568,45 @@ SCENARIO_FAMILIES = {
 }
 
 
-def scipy_minimize(fun, x0, max_iters):
-    """``capacity.minimize`` run by scipy's L-BFGS-B with the same memory and
-    stopping constants: the optimizer the numpy L-BFGS replaced, kept as its
-    oracle."""
+def scipy_lockstep(evaluate, x0s, max_iters):
+    """``capacity._lockstep`` run by scipy's L-BFGS-B with the same memory and
+    stopping constants, on each start alone: the optimizer the numpy L-BFGS
+    replaced, kept as its oracle.  A start whose evaluation fails ends in
+    that error, as in ``_lockstep``."""
     from scipy.optimize import minimize
 
-    result = minimize(fun, x0, method="L-BFGS-B", jac=True, options={
-        "maxcor": capacity.LBFGS_MEMORY, "maxiter": max_iters,
-        "ftol": capacity.ENTROPY_FTOL, "gtol": capacity.GRAD_TOL})
-    return capacity.MinimizeResult(
-        result.x, float(result.fun), result.nit, result.nfev, int(result.status))
+    results = []
+    for i, x0 in enumerate(x0s):
+        def fun(x, i=i):
+            (outcome,) = evaluate([i], x[None])
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        try:
+            result = minimize(fun, x0, method="L-BFGS-B", jac=True, options={
+                "maxcor": capacity.LBFGS_MEMORY, "maxiter": max_iters,
+                "ftol": capacity.ENTROPY_FTOL, "gtol": capacity.GRAD_TOL})
+        except (NumericalError, FloatingPointError) as exc:
+            results.append(exc)
+            continue
+        results.append(capacity.MinimizeResult(
+            result.x, float(result.fun), result.nit, result.nfev, int(result.status)))
+    return results
+
+
+def recording_statuses(patch):
+    """Wrap ``capacity._lockstep`` through ``patch`` (a MonkeyPatch) and return
+    the list it fills with the status of every restart it runs."""
+    statuses, lockstep = [], capacity._lockstep
+
+    def recording(*args, **kwargs):
+        results = lockstep(*args, **kwargs)
+        statuses.extend(result.status for result in results)
+        return results
+
+    patch.setattr(capacity, "_lockstep", recording)
+    return statuses
 
 
 def criterion_12_minima():
@@ -574,16 +638,9 @@ class TestScipyOracle:
     @pytest.mark.parametrize("family", list(SCENARIO_FAMILIES))
     def test_scenario_capacities_match(self, monkeypatch, family):
         config = {**SCENARIO_FAMILIES[family], "seed": 7}
-        statuses, minimize = [], capacity.minimize
-
-        def recording(*args, **kwargs):
-            result = minimize(*args, **kwargs)
-            statuses.append(result.status)
-            return result
-
-        monkeypatch.setattr(capacity, "minimize", recording)
+        statuses = recording_statuses(monkeypatch)
         (row,) = run_scenario(config)
-        monkeypatch.setattr(capacity, "minimize", scipy_minimize)
+        monkeypatch.setattr(capacity, "_lockstep", scipy_lockstep)
         (oracle,) = run_scenario(config)
         assert abs(row.optimizer_bits - row.closed_form_bits) <= 1e-6
         assert statuses and set(statuses) == {0}
@@ -591,8 +648,98 @@ class TestScipyOracle:
 
     def test_criterion_12_minima_at_most_the_oracles(self, monkeypatch):
         minima = criterion_12_minima()
-        monkeypatch.setattr(capacity, "minimize", scipy_minimize)
+        monkeypatch.setattr(capacity, "_lockstep", scipy_lockstep)
         assert np.all(minima <= criterion_12_minima() + 1e-8)
+
+
+def alone_pairs(patch):
+    """Wrap ``capacity._lockstep`` through ``patch`` (a MonkeyPatch) so that
+    every search also runs each of its starts alone on the same driver, and
+    return the list it fills with (lockstep result, alone result) per start."""
+    pairs, lockstep = [], capacity._lockstep
+
+    def checking(evaluate, x0s, max_iters):
+        results = lockstep(evaluate, x0s, max_iters)
+        for i, x0 in enumerate(x0s):
+            (alone,) = lockstep(lambda ids, xs, i=i: evaluate([i], xs), [x0], max_iters)
+            pairs.append((results[i], alone))
+        return results
+
+    patch.setattr(capacity, "_lockstep", checking)
+    return pairs
+
+
+def assert_same_runs(pairs):
+    """Each pair of MinimizeResults bit-identical: nit, nfev, status, value
+    and point."""
+    for got, want in pairs:
+        assert (got.nit, got.nfev, got.status) == (want.nit, want.nfev, want.status)
+        assert got.fun == want.fun and np.array_equal(got.x, want.x)
+
+
+class TestLockstep:
+    """``capacity._lockstep``: every restart of a search advanced together,
+    each exactly as the same driver runs it alone."""
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    @pytest.mark.parametrize("family", list(SCENARIO_FAMILIES))
+    def test_scenario_restarts_match_their_runs_alone(self, monkeypatch, family, seed):
+        pairs = alone_pairs(monkeypatch)
+        run_scenario({**SCENARIO_FAMILIES[family], "seed": seed})
+        assert len(pairs) >= 16
+        assert_same_runs(pairs)
+
+    def test_criterion_12_restarts_match_their_runs_alone(self, monkeypatch):
+        # Per state: local 3 restarts; global 3 local + 4; CPTP env 2 the
+        # global unitary search (7) + 4.
+        pairs = alone_pairs(monkeypatch)
+        criterion_12_minima()
+        assert len(pairs) == 10 * (3 + 7 + 11)
+        assert_same_runs(pairs)
+
+    def test_stack_cap_of_one_member_changes_nothing(self, monkeypatch):
+        # ghz-full at D = 16: uncapped, each round is one 16-member call; a
+        # cap of one entry evaluates the members one call each.
+        config = {**SCENARIO_FAMILIES["ghz-full"], "seed": 7}
+        widths, weyl_apply = [], channels._weyl_apply
+        results, lockstep = [], capacity._lockstep
+
+        def recording_apply(kernel, rho, eigen):
+            widths.append(rho.shape[0] if rho.ndim == 3 else 0)
+            return weyl_apply(kernel, rho, eigen)
+
+        def recording(*args):
+            results.append(lockstep(*args))
+            return results[-1]
+
+        monkeypatch.setattr(channels, "_weyl_apply", recording_apply)
+        monkeypatch.setattr(capacity, "_lockstep", recording)
+        widest = []
+        for cap in (capacity.STACK_ENTRY_CAP, 1):
+            monkeypatch.setattr(capacity, "STACK_ENTRY_CAP", cap)
+            widths.clear()
+            run_scenario(config)
+            widest.append(max(widths))
+        assert widest == [16, 1]
+        uncapped, capped = results
+        assert_same_runs(zip(uncapped, capped, strict=True))
+
+    def test_one_raising_member_aborts_only_its_restart(self):
+        fun = rosenbrock(np.zeros(2))
+
+        def stacked_fun(ids, xs):
+            if (xs[:, 0] > 5.5).any():
+                raise NumericalError("left the trusted region")
+            values, grads = zip(*(fun(x) for x in xs))
+            return np.array(values), np.array(grads)
+
+        x0s = [np.array([-1.2, 1.0]), np.array([6.0, 0.0]), np.array([0.5, 0.5])]
+        evaluate = functools.partial(capacity._members, stacked_fun)
+        results = capacity._lockstep(evaluate, x0s, 100)
+        assert isinstance(results[1], NumericalError)
+        assert str(results[1]) == "left the trusted region"
+        assert_same_runs([(results[i], capacity.minimize(fun, x0s[i], 100)) for i in (0, 2)])
+        assert {results[i].status for i in (0, 2)} == {0}
 
 
 class TestCapacityCovariant:
@@ -675,7 +822,7 @@ class TestCapacityCovariant:
 
         cfg = OptimizerConfig(restarts=2, max_iters=20, seed=42)
         with caplog.at_level(logging.WARNING, logger="densecode"):
-            value, _, trace = _minimize_restarts(objective, (3,), 1, cfg)
+            value, _, trace = _minimize_restarts(stacked(objective), (3,), 1, cfg)
         assert value == 0.0 and trace == ((0, 0.0),)
         assert [(r.name, r.levelno) for r in caplog.records] == [
             ("densecode", logging.WARNING)]
@@ -695,17 +842,20 @@ class TestCapacityCovariant:
 
         cfg = OptimizerConfig(restarts=3, max_iters=20, seed=42)
         with caplog.at_level(logging.WARNING, logger="densecode"):
-            value, _, trace = _minimize_restarts(objective, (3,), 1, cfg)
+            value, _, trace = _minimize_restarts(stacked(objective), (3,), 1, cfg)
         assert value == 1.0 and trace == ((0, 1.0),)
         assert [r.getMessage() for r in caplog.records] == [
             f"restart {rid} aborted: NumericalError: non-finite objective nan or gradient"
             for rid in (1, 2)]
 
     def test_every_restart_aborted_raises(self, monkeypatch, caplog):
-        def diverging(fun, x0, max_iters):
-            raise NumericalError("channel failed to preserve trace by 1.000e-03")
+        def diverging(*args):
+            def objective(vs):
+                raise NumericalError("channel failed to preserve trace by 1.000e-03")
 
-        monkeypatch.setattr(capacity, "minimize", diverging)
+            return objective
+
+        monkeypatch.setattr(capacity, "_entropy_objective", diverging)
         layout = SubsystemLayout([2], 2)
         cfg = OptimizerConfig(restarts=3, max_iters=20, seed=42)
         with caplog.at_level(logging.WARNING, logger="densecode"):
@@ -733,14 +883,7 @@ class TestCapacityCovariant:
         # A stop below the entropy's rounding noise keeps converged restarts
         # line-searching until a line search fails with status 2; here every
         # restart must end in status 0, a stopping rule met.
-        statuses, minimize = [], capacity.minimize
-
-        def recording(*args, **kwargs):
-            result = minimize(*args, **kwargs)
-            statuses.append(result.status)
-            return result
-
-        monkeypatch.setattr(capacity, "minimize", recording)
+        statuses = recording_statuses(monkeypatch)
         (row,) = run_scenario({**config, "seed": 7})
         assert abs(row.optimizer_bits - row.closed_form_bits) <= 1e-6
         assert statuses == [0] * 16

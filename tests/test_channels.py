@@ -15,6 +15,8 @@ from densecode.channels import (
     CptpMap,
     PauliChannelSpec,
     SinglePartyPauliSpec,
+    _kraus_apply,
+    _stacked_maps,
     adjoint_map,
     apply_channel,
     apply_cptp,
@@ -333,6 +335,20 @@ class TestCorrelatedProbs:
             CorrelationSpec(np.array([[0.0, 0.2], [0.3, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda x: SinglePartyPauliSpec(2, [[x, 0.5], [0.25, 0.25]]),
+    lambda x: PauliChannelSpec((2,), [x, 0.5, 0.25, 0.25], (0,)),
+    lambda x: fully_correlated_probs(2, [x, 0.5, 0.25, 0.25]),
+    lambda x: CorrelationSpec([[0, x], [x, 0]]),
+    lambda x: CorrelationSpec.uniform(3, x),
+], ids=["single", "joint", "fully-correlated", "mu", "uniform-mu"])
+def test_non_finite_probability_rejected(build, bad):
+    # Every comparison with NaN is false: the checks are written to fail it.
+    with pytest.raises((ProbabilityError, ParameterError)):
+        build(bad)
+
+
 class TestDepolarizing:
     def test_noiseless(self):
         spec = depolarizing_probs(2, 0.0)
@@ -645,6 +661,65 @@ class TestAdjoint:
         assert self.adjoint_gap(damping, SubsystemLayout([2], 3), rng) < 1e-12
         spec, layout, _ = channel_case((3, 3), (0, 1), [3, 3], 17)
         assert self.adjoint_gap(pauli_kraus(spec), layout, rng) < 1e-12
+
+
+# Leading shapes of the stacked maps: one restart axis, or two axes.
+LEADING = st.sampled_from([(1,), (3,), (2, 2)])
+
+
+def state_stack(lead, layout, rng):
+    """A stack of random states of ``lead`` shape, and one of random
+    Hermitian operators."""
+    n = layout.total_dim
+    return (np.stack([random_density_matrix(n, rng) for _ in range(math.prod(lead))]
+                     ).reshape(lead + (n, n)),
+            np.stack([random_hermitian(n, rng) for _ in range(math.prod(lead))]
+                     ).reshape(lead + (n, n)))
+
+
+class TestStackedMaps:
+    """``_stacked_maps``, the objective's channel and adjoint on a stack of
+    operators: each slice bit-identical to the public function on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_channels_on_layouts(), LEADING, st.integers(0, 2**32 - 1))
+    @example(channel_case((2, 2, 2), (0, 1, 1), [2, 4], 3), (3,), 0)   # tiled receiver
+    @example(channel_case((3, 2), (0, 2), [3, 2, 2], 4), (2, 2), 1)    # untouched slot
+    @example(channel_case((3, 3), (0, 1), [3, 3], 5), (1,), 2)         # qutrits
+    def test_weyl_stack_matches_apply_pauli(self, case, lead, seed):
+        spec, layout, _ = case
+        rhos, ys = state_stack(lead, layout, np.random.default_rng(seed))
+        forward, adjoint = _stacked_maps(spec, layout)
+        outs, adjoints = forward(rhos), adjoint(ys)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(outs[idx], apply_pauli(spec, rhos[idx], layout))
+            assert np.array_equal(adjoints[idx], adjoint_map(spec, layout)(ys[idx]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kraus_cases(), LEADING)
+    def test_kraus_stack_matches_apply_cptp(self, case, lead):
+        sender_dims, receiver, _, terms, seed = case
+        layout, slots, ks, _ = build_kraus_case(
+            sender_dims, receiver, range(len(sender_dims) + 1), terms, seed)
+        cptp = CptpMap(tuple(ks))
+        rhos, ys = state_stack(lead, layout, np.random.default_rng(seed))
+        forward, adjoint = _stacked_maps(cptp, layout)
+        outs, adjoints = forward(rhos), adjoint(ys)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(outs[idx], apply_cptp(cptp, rhos[idx], slots, layout))
+            assert np.array_equal(outs[idx], apply_channel(cptp, rhos[idx], layout))
+            assert np.array_equal(adjoints[idx], adjoint_map(cptp, layout)(ys[idx]))
+
+    def test_kraus_stack_checks_each_member_trace(self):
+        # Kraus operators scaled past completeness raise each member's trace
+        # by half; the error gives the largest deviation, the trace-2 member's.
+        layout, _, ks, rho = build_kraus_case((2,), 2, (0, 1), 2, 6)
+        with pytest.raises(NumericalError, match=r"preserve trace by 1\.000e\+00"):
+            _kraus_apply(np.sqrt(1.5) * ks, np.stack([rho, 2 * rho]), layout.total_dim)
+
+    def test_unsupported_channel_type_rejected(self):
+        with pytest.raises(ChannelError, match="unsupported channel type ndarray"):
+            _stacked_maps(np.eye(4), SubsystemLayout([2], 2))
 
 
 class TestCovariance:

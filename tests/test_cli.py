@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -220,6 +221,32 @@ def test_ragged_array_named_in_error(tmp_path, capsys, cfg, field):
     status, err = run_cli_config(tmp_path, capsys, cfg)
     assert status == 2
     assert err.startswith(f"error: {field}: expected ")
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (with_field(GHZ_CONFIG, "channel.q", [NAN, 0.05, 0.05, 0.05]),
+     "invalid probability vector"),
+    (with_field(bell_correlated_config(0.5), "channel.singles",
+                [[[NAN, 0.1], [0.1, 0.1]], [[0.6, 0.2], [0.1, 0.1]]]),
+     "negative or NaN channel probability nan"),
+    (with_field(bell_correlated_config(0.5), "channel.mu", NAN),
+     "correlation degrees must lie in [0, 1]"),
+    (with_field(bell_correlated_config(0.5), "channel.mu", [[0, NAN], [NAN, 0]]),
+     "correlation degrees must lie in [0, 1]"),
+    (with_field(CUSTOM_CONFIG, "channel.joint", [NAN] + [0] * 15),
+     "negative or NaN joint probability nan"),
+    (with_field(CUSTOM_CONFIG, "channel.joint", [0.5, NAN] + [0] * 14),
+     "negative or NaN joint probability nan"),
+], ids=["q", "singles", "mu", "mu-matrix", "joint", "joint-second"])
+def test_nan_probability_rejected(tmp_path, capsys, cfg, message):
+    # Every comparison with NaN is false, so checks written as "fails if
+    # below 0" passed it, and the run ended in a LinAlgError traceback.
+    status, err = run_cli_config(tmp_path, capsys, cfg)
+    assert status == 2
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("path, value", [

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densecode.errors import (
     LayoutError,
@@ -11,6 +14,9 @@ from densecode.errors import (
 )
 from densecode.linalg import (
     SubsystemLayout,
+    _conjugate_leading,
+    _hermitian_eigh,
+    _kron_stacks,
     dimension_cap,
     kron,
     partial_trace,
@@ -240,3 +246,77 @@ class TestPermuteSlots:
     def test_rejects_non_permutation(self):
         with pytest.raises(LayoutError):
             permute_slots(np.eye(4), (2, 2), [0, 0])
+
+
+# Leading shapes of the stacked kernels: none, one restart axis, two axes.
+LEADING = st.sampled_from([(), (1,), (3,), (2, 2)])
+
+
+def gaussian_stack(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestStackedKernels:
+    """The kernels the objective runs on a stack of restarts: each slice is
+    bit-identical to the kernel on that slice alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 6]), st.sampled_from([1, 2, 3]), st.integers(1, 4),
+           LEADING, st.sampled_from(["state", "operators"]), st.integers(0, 2**32 - 1))
+    def test_conjugate_leading_matches_a_loop(self, a, b, terms, lead, stacked, seed):
+        # Leading axes on the states (a Kraus channel on a stack) or on the
+        # operators (a stack of encoders on one state).
+        rng = np.random.default_rng(seed)
+        n = a * b
+        rho = gaussian_stack((lead if stacked == "state" else ()) + (n, n), rng)
+        ks = gaussian_stack((lead if stacked == "operators" else ()) + (terms, a, a), rng)
+        got = _conjugate_leading(rho, ks, a)
+        assert got.shape == lead + (n, n)
+        for idx in np.ndindex(*lead):
+            one_rho = rho[idx] if stacked == "state" else rho
+            one_ks = ks[idx] if stacked == "operators" else ks
+            assert np.array_equal(got[idx], _conjugate_leading(one_rho, one_ks, a))
+        if not lead:
+            want = sum(np.kron(k, np.eye(b)) @ rho @ np.kron(k, np.eye(b)).conj().T
+                       for k in ks)
+            assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 3]),
+                              st.sampled_from([1, 2, 3])), min_size=1, max_size=3),
+           LEADING, st.integers(0, 2**32 - 1))
+    def test_kron_stacks_matches_a_loop(self, shapes, lead, seed):
+        rng = np.random.default_rng(seed)
+        stacks = [gaussian_stack(lead + shape, rng) for shape in shapes]
+        got = _kron_stacks(stacks)
+        for idx in np.ndindex(*lead):
+            want = _kron_stacks([s[idx] for s in stacks])
+            assert np.array_equal(got[idx], want)
+            products = [kron_fold(ops) for ops in
+                        itertools.product(*[s[idx] for s in stacks])]
+            assert np.array_equal(want, np.stack(products))
+
+    def test_hermitian_eigh_checks_each_member(self):
+        rng = np.random.default_rng(32)
+        stack = np.stack([random_density_matrix(4, rng) for _ in range(3)])
+        w, u = _hermitian_eigh(stack)
+        for m, wm, um in zip(stack, w, u):
+            want_w, want_u = np.linalg.eigh(m)
+            assert np.array_equal(wm, want_w) and np.array_equal(um, want_u)
+        skewed = stack.copy()
+        skewed[1, 0, 1] += 1e-6
+        with pytest.raises(NumericalError, match="non-Hermitian operator"):
+            _hermitian_eigh(skewed)
+        for bad in (np.nan, np.inf):
+            broken = stack.copy()
+            broken[2, 3, 3] = bad
+            with pytest.raises(NumericalError, match="non-finite entries"):
+                _hermitian_eigh(broken)
+
+
+def kron_fold(ops):
+    """np.kron folded over ops, first operand slowest."""
+    out = ops[0]
+    for op in ops[1:]:
+        out = np.kron(out, op)
+    return out
