@@ -83,7 +83,7 @@ from .states import bell_diagonal, bell_copies
 
 logger = logging.getLogger("densecode")
 
-COVARIANCE_CERT_TOL = 1e-8
+COVARIANCE_CERT_TOL = 1e-10
 CROSSCHECK_TOL = 1e-6
 ENSEMBLE_PROB_TOL = 1e-10
 ENSEMBLE_UNITARY_TOL = 1e-9

@@ -17,10 +17,11 @@ scatters back.  The kernel for one channel and layout is four D x D arrays,
 O(D^2) memory whatever the number of terms; the adjoint channel runs on the
 same kernel with the conjugate eigenvalues.
 
-Kraus maps, their adjoints and the covariance check conjugate through
-``linalg._conjugate_leading``, which applies a stack of operators to the
-leading factor of a state without forming K x 1; ``apply_cptp`` permutes
-its slots to the front and back around it.
+Kraus maps and their adjoints conjugate through ``linalg._conjugate_leading``,
+which applies a stack of operators to the leading factor of a state without
+forming K x 1; ``apply_cptp`` permutes its slots to the front and back around
+it.  The covariance check conjugates by its sender operators, displacement
+products with one unit-modulus entry per row, as index gathers and phases.
 """
 
 from __future__ import annotations
@@ -241,12 +242,14 @@ def correlated_probs(
         )
     tables = [s.q.ravel() for s in singles]
 
+    # One open grid per block count, the index of each block's label.
+    grids = [np.ix_(*[np.arange(n_labels)] * n) for n in range(parties + 1)]
     joint = np.zeros((n_labels,) * parties)
     for blocks, weight in _component_partitions(corr.mu):
         term = weight * functools.reduce(np.multiply.outer, [tables[b[0]] for b in blocks])
         # Every member of block b takes block b's label: broadcast the term
         # onto the diagonal where those labels are equal.
-        grid = np.ix_(*[np.arange(n_labels)] * len(blocks))
+        grid = grids[len(blocks)]
         owner = {p: b for b, block in enumerate(blocks) for p in block}
         joint[tuple(grid[owner[p]] for p in range(parties))] += term
     if acts_on is None:
@@ -265,12 +268,15 @@ def _component_partitions(mu: np.ndarray):
     """
     parties = mu.shape[0]
     absent = 1.0 - mu
-
-    def members(mask):
-        return [p for p in range(parties) if mask >> p & 1]
+    members = [tuple(p for p in range(parties) if mask >> p & 1)
+               for mask in range(1 << parties)]
+    cuts = {}
 
     def cut(a, b):
-        return math.prod(absent[j, l] for j in members(a) for l in members(b))
+        """Probability that no edge joins the parties of masks a and b."""
+        if (a, b) not in cuts:
+            cuts[a, b] = math.prod(absent[j, l] for j in members[a] for l in members[b])
+        return cuts[a, b]
 
     def submasks(mask):
         sub = mask
@@ -301,7 +307,7 @@ def _component_partitions(mu: np.ndarray):
             if weight == 0.0:
                 continue
             for blocks, tail in split(rest ^ block):
-                yield (tuple(members(block)),) + blocks, weight * tail
+                yield (members[block],) + blocks, weight * tail
 
     yield from split((1 << parties) - 1)
 
@@ -530,25 +536,80 @@ def verify_covariance(
     """Max deviation of the covariance property over random states.
 
     Checks Lambda(V rho V^dag) = V Lambda(rho) V^dag for every sender-space
-    unitary V in ``ops``, a sequence or (T, D_A, D_A) stack such as
-    ``sender_generators`` or ``local_encoding_set`` (each extended by
-    identity on the receiver slot).  Accepts a Pauli spec or any full-space
-    CPTP map.  No trials or no operators leave nothing to certify and raise
-    ParameterError.
+    unitary V in ``ops``, a sequence or (T, D_A, D_A) stack of monomial
+    unitaries such as ``sender_generators`` or ``local_encoding_set`` (each
+    extended by identity on the receiver slot).  Each V x 1 conjugates by an
+    index gather and a phase (``_monomial_gathers``), and the channel, a
+    Pauli spec or any full-space CPTP map, runs once per operator through
+    its cached kernel or Kraus stack.  No trials or no operators leave
+    nothing to certify and raise ParameterError.
     """
     ops = np.asarray(ops, dtype=complex)
     if trials < 1 or not len(ops):
         raise ParameterError(f"need trials >= 1 and operators, got {trials} and {len(ops)}")
+    gathers = _monomial_gathers(ops, layout)
+    forward = _stacked_maps(spec, layout)[0]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         rho = random_density_matrix(layout.total_dim, rng)
-        out = apply_channel(spec, rho, layout)
-        for v in ops[:, None]:
-            lhs = apply_channel(spec, _conjugate_leading(rho, v, layout.sender_dim), layout)
-            rhs = _conjugate_leading(out, v, layout.sender_dim)
+        out = forward(rho)
+        for gather in gathers:
+            lhs = forward(_gather_conjugate(rho, gather))
+            rhs = _gather_conjugate(out, gather)
             worst = max(worst, np.abs(lhs - rhs).max())
     return worst
+
+
+def _gather_conjugate(x: np.ndarray, gather) -> np.ndarray:
+    """``f * x[ix] * fc`` for one ``(ix, f, fc)`` of ``_monomial_gathers``,
+    multiplied into the gathered copy: at D = 256 a fresh D x D product
+    costs twice the gather and both multiplies together."""
+    ix, f, fc = gather
+    y = x[ix]
+    np.multiply(f, y, out=y)
+    return np.multiply(y, fc, out=y)
+
+
+def _monomial_gathers(ops: np.ndarray, layout: SubsystemLayout):
+    """Each sender operator V of a (T, D_A, D_A) stack, checked to be a
+    monomial unitary (one unit-modulus entry in each row and each column),
+    as ``(ix, f, fc)`` with
+
+        (V x 1) x (V x 1)^dag = f * x[ix] * fc.
+
+    With V[i, perm[i]] = phase[i] and b = D / D_A, the lifted permutation is
+    P[i*b + y] = perm[i]*b + y (``ix = np.ix_(P, P)``) and the lifted phase
+    f[i*b + y] = phase[i] (``f`` a column, ``fc`` its conjugate as a row).
+    Two length-D vectors per operator; no D x D index, no K x 1.
+    """
+    d_a = layout.sender_dim
+    if ops.ndim != 3 or ops.shape[1:] != (d_a, d_a):
+        raise LayoutError(
+            f"operator stack of shape {ops.shape} is not (T, {d_a}, {d_a}) "
+            f"for sender dimension {d_a}"
+        )
+    for axis, line in ((2, "row"), (1, "column")):
+        counts = np.count_nonzero(ops, axis=axis)
+        if counts.min() != 1 or counts.max() != 1:
+            t, i = np.argwhere(counts != 1)[0]
+            raise ParameterError(f"operator {t} is not a monomial unitary: {line} {i} "
+                                 f"has {counts[t, i]} nonzero entries")
+    # One nonzero per row: in C order they are the rows' entries in turn.
+    nonzero = np.nonzero(ops)
+    perms = nonzero[2].reshape(len(ops), d_a)
+    phases = ops[nonzero].reshape(len(ops), d_a)
+    off = np.abs(np.abs(phases) - 1.0).max(axis=1)
+    # Written so that a NaN entry fails it.
+    unit = off <= 1e-12
+    if not unit.all():
+        t = (~unit).argmax()
+        raise ParameterError(f"operator {t} is not a monomial unitary: an entry's "
+                             f"modulus is off 1 by {float(off[t])!r}")
+    b = layout.total_dim // d_a
+    lifted = (perms[..., None] * b + np.arange(b)).reshape(len(ops), -1)
+    phases = np.repeat(phases, b, axis=1)
+    return [(np.ix_(p, p), f[:, None], f.conj()) for p, f in zip(lifted, phases)]
 
 
 def channel_to_json(spec: PauliChannelSpec) -> dict:

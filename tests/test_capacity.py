@@ -974,6 +974,11 @@ class TestGeneratorCertificate:
         with pytest.raises(NonCovariantChannelError):
             capacity_covariant(random_density_matrix(8, rng), chan, layout, "local", QUICK)
 
+    def test_certification_tolerance_is_the_ladders(self):
+        # The tolerance ladder puts certification at 1e-10; the largest
+        # _certify deviation over the supported configs is about 2e-16.
+        assert capacity.COVARIANCE_CERT_TOL == 1e-10
+
     def test_no_samples_certify_nothing(self):
         # The tiled slot fails at five trials; with no trials or no
         # operators there is nothing to compare, which must not read as 0.

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import json
@@ -9,13 +10,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from densecode.capacity import _encode_with_kraus
+from densecode import channels
+from densecode.capacity import COVARIANCE_CERT_TOL, _encode_with_kraus
 from densecode.channels import (
     CorrelationSpec,
     CptpMap,
     PauliChannelSpec,
     SinglePartyPauliSpec,
+    _gather_conjugate,
     _kraus_apply,
+    _monomial_gathers,
     _stacked_maps,
     adjoint_map,
     apply_channel,
@@ -40,6 +44,7 @@ from densecode.errors import (
 )
 from densecode.linalg import (
     SubsystemLayout,
+    _conjugate_leading,
     kron_all,
     permute_slots,
     random_density_matrix,
@@ -124,6 +129,58 @@ def subset_expansion_oracle(singles, mu):
             by_root = dict(zip(roots, labels))
             term = weight * math.prod(tables[r][by_root[r]] for r in roots)
             joint[tuple(by_root[component[p]] for p in range(parties))] += term
+    return joint
+
+
+def partition_sum_oracle(singles, mu):
+    """``correlated_probs``' joint tensor built as it was before its masks'
+    members, cuts and grids were memoized: every helper recomputed on every
+    use.  Kept to check that the memoized construction is bit-identical."""
+    parties = len(singles)
+    n_labels = singles[0].q.size
+    absent = 1.0 - mu
+
+    def members(mask):
+        return [p for p in range(parties) if mask >> p & 1]
+
+    def cut(a, b):
+        return math.prod(absent[j, l] for j in members(a) for l in members(b))
+
+    def submasks(mask):
+        sub = mask
+        while True:
+            yield sub
+            if sub == 0:
+                return
+            sub = (sub - 1) & mask
+
+    connected = {}
+    for mask in range(1, 1 << parties):
+        low = mask & -mask
+        others = sum(connected[low | sub] * cut(low | sub, mask ^ (low | sub))
+                     for sub in submasks(mask ^ low) if low | sub != mask)
+        connected[mask] = max(1.0 - others, 0.0)
+
+    def split(rest):
+        if rest == 0:
+            yield (), 1.0
+            return
+        low = rest & -rest
+        for sub in submasks(rest ^ low):
+            block = low | sub
+            weight = connected[block] * cut(block, rest ^ block)
+            if weight == 0.0:
+                continue
+            for blocks, tail in split(rest ^ block):
+                yield (tuple(members(block)),) + blocks, weight * tail
+
+    tables = [s.q.ravel() for s in singles]
+    joint = np.zeros((n_labels,) * parties)
+    for blocks, weight in split((1 << parties) - 1):
+        term = weight * functools.reduce(np.multiply.outer, [tables[b[0]] for b in blocks])
+        grid = np.ix_(*[np.arange(n_labels)] * len(blocks))
+        owner = {p: b for b, block in enumerate(blocks) for p in block}
+        joint[tuple(grid[owner[p]] for p in range(parties))] += term
     return joint
 
 
@@ -319,6 +376,24 @@ class TestCorrelatedProbs:
         spec = correlated_probs(singles, CorrelationSpec(mu))
         oracle = subset_expansion_oracle(singles, mu)
         assert np.abs(spec.joint - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("parties,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2)])
+    @pytest.mark.parametrize("endpoint", [None, 0.0, 1.0])
+    def test_memoized_partition_sum_is_bit_identical(self, parties, d, endpoint):
+        # With an endpoint, pair (0, 1) takes it and every other pair is an
+        # exact 0 or 1 half the time.
+        rng = np.random.default_rng([parties, d, endpoint is None])
+        singles = [random_single(d, rng) for _ in range(parties)]
+        mu = np.zeros((parties, parties))
+        for j in range(parties):
+            for l in range(j + 1, parties):
+                mu[j, l] = mu[l, j] = rng.random()
+                if endpoint is not None and rng.random() < 0.5:
+                    mu[j, l] = mu[l, j] = rng.choice([0.0, 1.0])
+        if endpoint is not None:
+            mu[0, 1] = mu[1, 0] = endpoint
+        spec = correlated_probs(singles, CorrelationSpec(mu))
+        assert np.array_equal(spec.joint, partition_sum_oracle(singles, mu))
 
     def test_mixed_dimensions_rejected(self):
         rng = np.random.default_rng(4)
@@ -722,6 +797,43 @@ class TestStackedMaps:
             _stacked_maps(np.eye(4), SubsystemLayout([2], 2))
 
 
+def dense_verify_covariance(spec, ops, layout, trials=20, seed=0):
+    """``verify_covariance`` as it was before its gathers: each operator a
+    dense D_A x D_A conjugation through ``_conjugate_leading`` and the public
+    ``apply_channel`` once per operator per trial.  Kept as its oracle."""
+    ops = np.asarray(ops, dtype=complex)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        rho = random_density_matrix(layout.total_dim, rng)
+        out = apply_channel(spec, rho, layout)
+        for v in ops[:, None]:
+            lhs = apply_channel(spec, _conjugate_leading(rho, v, layout.sender_dim), layout)
+            rhs = _conjugate_leading(out, v, layout.sender_dim)
+            worst = max(worst, np.abs(lhs - rhs).max())
+    return worst
+
+
+def covariance_cases():
+    """(name, channel, layout) for the gather/dense differential: qubit and
+    qutrit senders, mixed dims, tiled receiver and sender slots, a Kraus map."""
+    rng = np.random.default_rng(21)
+    qubits = correlated_probs([random_single(2, rng) for _ in range(3)],
+                              CorrelationSpec.uniform(3, 0.6))
+    qutrits = correlated_probs([random_single(3, rng) for _ in range(2)],
+                               CorrelationSpec.uniform(2, 0.4))
+    tiled = SubsystemLayout([4], 2)
+    return [
+        ("qubit senders", qubits, SubsystemLayout([2, 2], 2)),
+        ("qutrit sender", qutrits, SubsystemLayout([3], 3)),
+        ("mixed dims (2, 3)", *channel_case((2, 3, 2), (0, 1, 2), (2, 3, 2), 22)[:2]),
+        ("tiled receiver", *channel_case((2, 2, 2), (0, 1, 1), (2, 4), 23)[:2]),
+        ("tiled sender", product_probs([random_single(2, np.random.default_rng(3))
+                                        for _ in range(3)], acts_on=(0, 0, 1)), tiled),
+        ("kraus map", pauli_kraus(qubits), SubsystemLayout([2, 2], 2)),
+    ]
+
+
 class TestCovariance:
     def test_no_samples_rejected(self):
         layout = SubsystemLayout([2], 2)
@@ -756,6 +868,60 @@ class TestCovariance:
         spec = correlated_probs(singles, CorrelationSpec.uniform(2, 0.45))
         enc = local_encoding_set([2])
         assert verify_covariance(spec, enc, layout, trials=5, seed=1) <= 1e-12
+
+    @pytest.mark.parametrize("dims,receiver", [((2,), 2), ((3,), 3), ((2, 3), 2),
+                                                ((2, 2), 3), ((4,), 2)])
+    def test_gather_matches_dense_conjugation(self, dims, receiver):
+        layout = SubsystemLayout(dims, receiver)
+        rng = np.random.default_rng(list(dims) + [receiver])
+        x = random_density_matrix(layout.total_dim, rng)
+        ops = local_encoding_set(dims)
+        for gather, v in zip(_monomial_gathers(ops, layout), ops):
+            ix, f, fc = gather
+            dense = _conjugate_leading(x, v[None], layout.sender_dim)
+            assert np.array_equal(_gather_conjugate(x, gather), f * x[ix] * fc)
+            assert np.abs(_gather_conjugate(x, gather) - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("case", covariance_cases(), ids=lambda case: case[0])
+    @pytest.mark.parametrize("generators", [True, False])
+    def test_deviation_matches_dense_oracle(self, case, generators):
+        name, channel, layout = case
+        dims = layout.sender_dims
+        ops = sender_generators(dims) if generators else local_encoding_set(dims)
+        dev = verify_covariance(channel, ops, layout, trials=3, seed=3)
+        assert abs(dev - dense_verify_covariance(channel, ops, layout, 3, 3)) <= 1e-15, name
+        if name == "tiled sender":
+            assert dev > COVARIANCE_CERT_TOL
+        else:
+            assert dev <= 1e-12, name
+
+    @pytest.mark.parametrize("ops, error, message", [
+        (np.eye(2), LayoutError, r"shape \(2, 2\) is not \(T, 2, 2\)"),
+        (np.stack([np.eye(4)]), LayoutError, r"is not \(T, 2, 2\)"),
+        ([np.eye(2), [[1, 1], [1, -1]]], ParameterError, "operator 1 .* row 0 has 2 nonzero"),
+        ([np.eye(2), np.eye(2), np.zeros((2, 2))], ParameterError, "operator 2 .* row 0 has 0"),
+        ([[[1, 0], [1, 0]]], ParameterError, "operator 0 .* column 0 has 2 nonzero"),
+        ([np.eye(2), 2 * np.eye(2)], ParameterError, "operator 1 .* modulus is off 1 by 1.0"),
+        ([np.eye(2), [[1, 0], [0, 1 + 2e-12]]], ParameterError, "operator 1 .* modulus"),
+        ([[[np.nan, 0], [0, 1]]], ParameterError, "operator 0 .* modulus is off 1 by nan"),
+    ])
+    def test_non_monomial_operators_rejected_before_any_state(
+            self, monkeypatch, ops, error, message):
+        def unreachable(*args):
+            raise AssertionError("allocated before the operator checks")
+
+        monkeypatch.setattr(channels, "random_density_matrix", unreachable)
+        monkeypatch.setattr(channels, "_stacked_maps", unreachable)
+        layout = SubsystemLayout([2], 2)
+        spec = product_probs([depolarizing_probs(2, 0.3)] * 2)
+        with pytest.raises(error, match=message):
+            verify_covariance(spec, ops, layout, trials=3)
+
+    def test_unit_modulus_within_tolerance_accepted(self):
+        layout = SubsystemLayout([2], 2)
+        spec = product_probs([depolarizing_probs(2, 0.3)] * 2)
+        ops = [np.eye(2), [[0, 1 + 5e-13], [1, 0]]]
+        assert verify_covariance(spec, ops, layout, trials=2, seed=1) <= 1e-11
 
     def test_correlated_two_senders(self):
         rng = np.random.default_rng(17)
