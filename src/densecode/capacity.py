@@ -16,21 +16,30 @@ V = polar(V0 + Delta) around a plain start point V0, with the exact entropy
 gradient pulled back through the polar factor.  ``_lbfgs`` is a generator
 that yields each point it evaluates, and ``_lockstep`` advances every
 restart of a search together: each round it stacks the pending points of
-the live restarts and makes one objective call, whose channel applications,
-``eigh`` and SVDs run on the whole stack, then hands each restart its own
-row.  The stack is split only past STACK_ENTRY_CAP complex entries per
-D x D array, and a call that fails a check is repeated member by member, so
-an error aborts only its own restart.  Each restart takes exactly the steps
-it would take alone; ``minimize`` is the same driver on one start.  A
-restart stops once max |gradient| <= GRAD_TOL, once an iteration lowers the
+the live restarts and makes one objective call, whose kernels, ``eigh`` and
+SVDs run on the whole stack, then hands each restart its own row.  The stack
+is split only past STACK_ENTRY_CAP complex entries in its largest
+per-member array, and a call that fails a check is repeated member by
+member, so an error aborts only its own restart.  Each restart takes exactly
+the steps it would take alone; ``minimize`` is the same driver on one start.
+A restart stops once max |gradient| <= GRAD_TOL, once an iteration lowers the
 entropy, or its search direction would to first order, by at most
 ENTROPY_FTOL (relative), the rounding floor of an entropy evaluation, or
-after max_iters iterations.  The gradient -2 Tr_B[G (K x 1) rho] is one
-matmul with the trace over B folded into its contraction.  Every run keeps
-one restart pinned at the identity encoding, and derived searches are
-warm-started from the solutions of their restricted counterparts (global
-from the kron of the local optimum, CPTP from [U; 0]) so the capacity
-hierarchy is monotone by construction.
+after max_iters iterations.
+
+The objective has two member kernels behind one builder.  The dense one
+forms the D x D output sigma and takes the gradient -2 Tr_B[G (K x 1) rho]
+as one matmul with the trace over B folded into its contraction.  For a
+Pauli channel of T terms and a state of rank r, the factored one works on
+the D x n matrix X = [sqrt(q_t) W_t (K_e x 1) Psi], n = T E r, with sigma =
+X X^dag: the entropy of the n x n Gram matrix X^dag X, the gradient
+-X log2(X^dag X) pulled back through the terms and the sender factors.  It
+runs when n <= D / FACTORED_COLUMN_RATIO, the measured crossover.
+
+Every run keeps one restart pinned at the identity encoding, and derived
+searches are warm-started from the solutions of their restricted
+counterparts (global from the kron of the local optimum, CPTP from [U; 0])
+so the capacity hierarchy is monotone by construction.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ import numpy as np
 from .channels import (
     CptpMap,
     PauliChannelSpec,
+    _pauli_terms,
     _stacked_maps,
     apply_channel,
     depolarizing_probs,
@@ -439,14 +449,139 @@ def _polar_chart(v0: np.ndarray, delta: np.ndarray):
     return u @ wh, pullback
 
 
-# Complex entries of one stacked D x D array of the objective: a stack of
-# encoders is evaluated in calls of at most max(1, STACK_ENTRY_CAP // D^2)
-# members.  Stacking pays for the per-call overhead that dominates at small
-# D; from D = 128 on a search runs one member per call, in the memory of a
-# single restart.  (At D = 256 with 16 restarts, one call for all peaked at
-# 148 MB against 54 MB for one member per call, and was not faster.)  16
-# restarts share one call up to D = 32.
+# Complex entries of the largest per-member array of one objective call: a
+# stack of encoders is evaluated in calls of at most
+# max(1, STACK_ENTRY_CAP // width) members, width D^2 on the dense path (each
+# D x D output) and n D on the factored one (the D x n matrix X).  Stacking
+# pays for the per-call overhead that dominates at small sizes; on the dense
+# path from D = 128 on a search runs one member per call, in the memory of a
+# single restart.  (At D = 256 with 16 restarts, one dense call for all
+# peaked at 148 MB against 54 MB for one member per call, and was not
+# faster.)  16 restarts share one dense call up to D = 32, and one factored
+# call while n D <= 1024.
 STACK_ENTRY_CAP = 2**14
+
+# The factored objective runs when its column count n = T E r is at most
+# D / FACTORED_COLUMN_RATIO: below that its Gram matrix, O(n^2 D) to form and
+# O(n^3) to diagonalize, beats the dense path's O(D^3) channel applies and
+# eigh.  Measured per member on stacks of 16 (README.md).
+FACTORED_COLUMN_RATIO = 2
+# rho = Psi Psi^dag must hold to this, entrywise, for the factored path.
+RANK_CUT_TOL = 1e-12
+
+
+def _low_rank_factor(rho: np.ndarray):
+    """Psi^T, an (r, D) array with rho = Psi Psi^dag to RANK_CUT_TOL
+    entrywise, Psi the eigenvectors of rho scaled by the square roots of
+    their eigenvalues; or None when the cut keeps nothing, or would keep a
+    negative eigenvalue, or the reconstruction misses.
+
+    The smallest eigenvalues are cut while their absolute values sum to at
+    most RANK_CUT_TOL, which bounds the entrywise error of the cut; the
+    reconstruction is checked as well."""
+    w, u = np.linalg.eigh(rho)
+    cut = int(np.count_nonzero(np.cumsum(np.abs(w)) <= RANK_CUT_TOL))
+    if cut == len(w) or w[cut] < 0.0:
+        return None
+    psi = u[:, cut:] * np.sqrt(w[cut:])
+    if np.abs(psi @ _dagger(psi) - rho).max() > RANK_CUT_TOL:
+        return None
+    return psi.T
+
+
+def _dense_members(rho, channel, layout: SubsystemLayout, dims, env_dim: int):
+    """The dense member kernel of ``_entropy_objective``: sigma =
+    Lambda(sum_t (K_t x 1) rho (K_t x 1)^dag) as a D x D stack, one ``eigh``
+    per member, and the gradient -2 Tr_B[G (K_t x 1) rho] per joint Kraus
+    operator, G = Lambda^dag(log2 sigma), contracted to the factors."""
+    forward, adjoint = _stacked_maps(channel, layout)
+    da, db = layout.sender_dim, layout.receiver_dim
+    # Tr_B[G (K x 1) rho][a, z] = sum_bxy G[a b, x y] ((K x 1) rho)[x y, z b]
+    # is one matmul of G, read as rows a by columns (b, x, y), with
+    # (K x 1) rho stacked as rows (b, x, y) by columns z: K acts on the index
+    # c of columns[b, c, (y, z)] = rho[c y, z b].  Only the blocks the trace
+    # over B keeps are formed.
+    columns = rho.reshape(da, db, da, db).transpose(3, 0, 1, 2).reshape(db, da, db * da)
+
+    def members(vs):
+        factors = [v.reshape(len(v), env_dim, d, d) for v, d in zip(vs, dims)]
+        ks = _kron_stacks(factors)
+        sigma = forward(_encode_with_kraus(rho, ks, layout))
+        w, u = _hermitian_eigh(sigma)
+        values = _entropy_from_eigenvalues(w)
+        g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))[..., None, :]) @ _dagger(u))
+        kron_rho = ks[..., None, :, :] @ columns
+        grad = -2.0 * (g.reshape(len(g), 1, da, -1)
+                       @ kron_rho.reshape(ks.shape[:2] + (-1, da)))
+        return values, [gr.reshape(v.shape) for gr, v in zip(_factor_grads(grad, factors), vs)]
+
+    return members
+
+
+def _factored_members(psi_t, trace: float, terms, layout: SubsystemLayout, dims,
+                      env_dim: int):
+    """The factored member kernel of ``_entropy_objective``, for rho =
+    Psi Psi^dag of rank r (``psi_t`` = Psi^T) and a Pauli channel with terms
+    sqrt(q_t) W_t (``channels._PauliTerms``).
+
+    The output is sigma = X X^dag with X = [sqrt(q_t) W_t (K_e x 1) Psi]_(e,t),
+    a D x n matrix, n = E T r, so sigma's nonzero spectrum is that of the
+    n x n Gram matrix X^dag X.  The sender factors act on Psi one slot at a
+    time, each a matmul on its slot's axis (the joint Kraus kron is never
+    formed), and the W_t are gathers and phases.  The gradient is
+    dS/dconj(X) = -X log2(X^dag X) (eigenvalues clipped at EIG_CLIP, the
+    d tr(sigma) term left out as on the dense path), pulled back through the
+    W_t and then through the factors in reverse, which gives each factor
+    2 dS/dconj(V_j) as a contraction with its input."""
+    r, total = psi_t.shape
+    m, db = len(dims), layout.receiver_dim
+    # Factor j acts on axis d_j of its input (pre_j, d_j, post_j): pre_j holds
+    # the rank and the slots already encoded, post_j the slots still to go.
+    shapes = [(r * env_dim**j * math.prod(dims[:j]), d, math.prod(dims[j + 1:]) * db)
+              for j, d in enumerate(dims)]
+    # With an environment, the last factor's output axes (r, e_1, d_1, ...,
+    # e_m, d_m, receiver) go to columns (r, e_1, ..., e_m) by rows D and back.
+    interleaved = (r,) + tuple(x for d in dims for x in (env_dim, d)) + (db,)
+    order = [0] + [1 + 2 * j for j in range(m)] + [2 + 2 * j for j in range(m)] + [1 + 2 * m]
+    split = tuple(interleaved[a] for a in order)
+    to_columns = [0] + [1 + a for a in order]
+    from_columns = [0] + [1 + a for a in np.argsort(order)]
+    n_terms = len(terms.gather)
+
+    def members(vs):
+        b = len(vs[0])
+        y, inputs = psi_t, []
+        for v, shape in zip(vs, shapes):
+            inputs.append(y.reshape((-1,) + shape))
+            y = v[:, None] @ inputs[-1]
+        if env_dim > 1:
+            y = y.reshape((b,) + interleaved).transpose(to_columns)
+        y = y.reshape(b, -1, total)
+        x = np.take(y, terms.gather, axis=-1)
+        x *= terms.phase
+        x = x.reshape(b, -1, total)
+        gram = x.conj() @ x.swapaxes(-1, -2)
+        trace_dev = np.abs(np.trace(gram, axis1=-2, axis2=-1) - trace)
+        if trace_dev.max() > 1e-10:
+            raise NumericalError(f"encoded output trace off by {trace_dev.max():.3e}")
+        w, u = _hermitian_eigh(gram)
+        values = _entropy_from_eigenvalues(w)
+        # -X log2(X^dag X), as rows of X^T: -conj(log2 gram) X^T.
+        grad = -((u.conj() * np.log2(np.maximum(w, EIG_CLIP))[..., None, :])
+                 @ u.swapaxes(-1, -2)) @ x
+        grad = np.take(grad.reshape(b, -1, n_terms * total), terms.inverse, axis=-1)
+        grad = (grad * terms.phase_adj).sum(axis=-2)
+        if env_dim > 1:
+            grad = grad.reshape((b,) + split).transpose(from_columns)
+        grads = [None] * m
+        for j in reversed(range(m)):
+            grad = grad.reshape((b,) + shapes[j][:1] + (-1,) + shapes[j][2:])
+            grads[j] = 2.0 * (grad @ _dagger(inputs[j])).sum(axis=1)
+            if j:
+                grad = _dagger(vs[j])[:, None] @ grad
+        return values, grads
+
+    return members
 
 
 def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int):
@@ -458,32 +593,39 @@ def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int
     Gradients are d/dRe + i d/dIm.  With G = Lambda^dag(log2 sigma),
     eigenvalues clipped at EIG_CLIP, the joint Kraus operators get
     dS/dconj(K_t) = -2 Tr_B[G (K_t x 1) rho]; the d tr(sigma) term is left
-    out, as it vanishes along isometries.  One ``eigh`` per member serves the
-    value and G.  Each member is checked as the public functions check one
-    operator (trace, Hermiticity, positivity); a failure raises
-    NumericalError for the whole call.
-    """
-    forward, adjoint = _stacked_maps(channel, layout)
-    da, db = layout.sender_dim, layout.receiver_dim
-    # Tr_B[G (K x 1) rho][a, z] = sum_bxy G[a b, x y] ((K x 1) rho)[x y, z b]
-    # is one matmul of G, read as rows a by columns (b, x, y), with
-    # (K x 1) rho stacked as rows (b, x, y) by columns z: K acts on the index
-    # c of columns[b, c, (y, z)] = rho[c y, z b].  Only the blocks the trace
-    # over B keeps are formed.
-    columns = rho.reshape(da, db, da, db).transpose(3, 0, 1, 2).reshape(db, da, db * da)
-    size = max(1, STACK_ENTRY_CAP // layout.total_dim**2)
+    out, as it vanishes along isometries.
 
-    def members(vs):
-        factors = [v.reshape(len(v), env_dim, d, d) for v, d in zip(vs, dims)]
-        ks = _kron_stacks(factors)
-        sigma = forward(_encode_with_kraus(rho, ks, layout))
-        w, u = _hermitian_eigh(sigma)
-        values = np.array([_entropy_from_eigenvalues(wm) for wm in w])
-        g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))[..., None, :]) @ _dagger(u))
-        kron_rho = ks[..., None, :, :] @ columns
-        grad = -2.0 * (g.reshape(len(g), 1, da, -1)
-                       @ kron_rho.reshape(ks.shape[:2] + (-1, da)))
-        return values, [gr.reshape(v.shape) for gr, v in zip(_factor_grads(grad, factors), vs)]
+    One builder, two member kernels: ``_factored_members`` for a Pauli
+    channel when n = T E r <= D / FACTORED_COLUMN_RATIO (T nonzero terms,
+    E = env_dim^(factors), r the rank of rho; T E is checked before the
+    ``eigh`` of rho that gives r), ``_dense_members`` otherwise.  Each member
+    is checked as the public functions check one operator: its output's
+    trace to 1e-10 (sigma against its input, tr(X^dag X) against tr(rho)),
+    finiteness, Hermiticity to 1e-8 and eigenvalues above -1e-10; a failure
+    raises NumericalError for the whole call.  A stack is evaluated in
+    slices (see STACK_ENTRY_CAP).
+    """
+    total = layout.total_dim
+    budget = total // FACTORED_COLUMN_RATIO
+    psi_t = rank = columns = None
+    n_terms = len(channel.kraus) if isinstance(channel, CptpMap) else None
+    if isinstance(channel, PauliChannelSpec):
+        n_terms = int(np.count_nonzero(channel.joint))
+        per_rank = n_terms * env_dim ** len(dims)
+        if per_rank <= budget:
+            psi_t = _low_rank_factor(rho)
+        if psi_t is not None:
+            rank, columns = len(psi_t), len(psi_t) * per_rank
+    if columns is not None and columns <= budget:
+        members = _factored_members(psi_t, np.trace(rho).real, _pauli_terms(channel, layout),
+                                    layout, dims, env_dim)
+        width, path = columns * total, "factored"
+    else:
+        members = _dense_members(rho, channel, layout, dims, env_dim)
+        width, path = total * total, "dense"
+    logger.debug("entropy objective: %s path, D = %d, rank %s, %s terms, %s columns",
+                 path, total, rank, n_terms, columns)
+    size = max(1, STACK_ENTRY_CAP // width)
 
     def objective(vs):
         if len(vs[0]) <= size:

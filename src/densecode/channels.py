@@ -15,7 +15,9 @@ sums the terms: it gathers the shifted diagonals of the state, multiplies by
 the eigenvalues between two products with the group Fourier matrix, and
 scatters back.  The kernel for one channel and layout is four D x D arrays,
 O(D^2) memory whatever the number of terms; the adjoint channel runs on the
-same kernel with the conjugate eigenvalues.
+same kernel with the conjugate eigenvalues.  The factored entropy objective
+uses the nonzero terms themselves, each a lifted digit permutation and phase
+(``_pauli_terms``), built from the same digit bookkeeping (``_digits``).
 
 Kraus maps and their adjoints conjugate through ``linalg._conjugate_leading``,
 which applies a stack of operators to the leading factor of a state without
@@ -131,6 +133,9 @@ class PauliChannelSpec:
     acts_on: tuple[int, ...]
     # Weyl kernels by layout dims, built by apply_pauli on first use.
     _kernels: dict = field(default_factory=dict, init=False, repr=False)
+    # Terms as gathers and phases by layout dims, built by the factored
+    # entropy objective on first use.
+    _terms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         party_dims = tuple(int(d) for d in self.party_dims)
@@ -377,19 +382,28 @@ class _WeylKernel:
     inverse: np.ndarray  # conj(W)
 
 
+def _digits(spec: PauliChannelSpec, layout: SubsystemLayout):
+    """(radices, parties): the full-space index read as mixed-radix digits,
+    one per party in kron order (parties tiling a slot in party order) and
+    one per untouched slot, with the party on each digit, None for an
+    untouched slot."""
+    radices: list[int] = []
+    parties: list[int | None] = []
+    for slot, members in enumerate(_slot_assignment(spec, layout)):
+        radices += [spec.party_dims[p] for p in members] or [layout.dims[slot]]
+        parties += members or [None]
+    return radices, parties
+
+
 def _weyl_kernel(spec: PauliChannelSpec, layout: SubsystemLayout) -> _WeylKernel:
     """The kernel of ``spec`` on ``layout``, built on first use per slot dims."""
     kernel = spec._kernels.get(layout.dims)
     if kernel is not None:
         return kernel
-    radices: list[int] = []
-    touched: list[int] = []  # parties in digit order
-    extent: list[int] = []   # lambda varies along touched digits only
-    for slot, members in enumerate(_slot_assignment(spec, layout)):
-        tile = [spec.party_dims[p] for p in members]
-        radices += tile or [layout.dims[slot]]
-        extent += tile or [1]
-        touched += members
+    radices, parties = _digits(spec, layout)
+    touched = [p for p in parties if p is not None]
+    # lambda varies along touched digits only
+    extent = [r if p is not None else 1 for r, p in zip(radices, parties)]
     total = layout.total_dim
 
     # q over (m digits, n digits), transformed over n to delta and over m to xi.
@@ -412,6 +426,55 @@ def _weyl_kernel(spec: PauliChannelSpec, layout: SubsystemLayout) -> _WeylKernel
     kernel = _WeylKernel(shifted * total + np.arange(total), fourier, eigen, fourier.conj())
     spec._kernels[layout.dims] = kernel
     return kernel
+
+
+@dataclass(frozen=True, eq=False)
+class _PauliTerms:
+    """The nonzero terms sqrt(q_t) W_t of a joint Pauli channel, each a
+    lifted digit permutation and phase: (sqrt(q_t) W_t x)[i] =
+    phase[t, i] x[gather[t, i]], and its adjoint
+    (sqrt(q_t) W_t^dag y)[j] = phase_adj[t, j] y[inverse[t, j]].  Four
+    (T, D) arrays, O(T D) to build; ``inverse`` is offset by t D so that it
+    indexes the flattened (T, D) stack of the terms' outputs."""
+
+    gather: np.ndarray
+    phase: np.ndarray
+    inverse: np.ndarray
+    phase_adj: np.ndarray
+
+
+def _pauli_terms(spec: PauliChannelSpec, layout: SubsystemLayout) -> _PauliTerms:
+    """The terms of ``spec`` on ``layout``, built on first use per slot dims.
+
+    A party with label (m, n) acts on its digit k as V_mn, which maps
+    x[k] to exp(2 pi i k n / d) x[k + m]: the gather adds m to the digit, its
+    inverse subtracts it, and the phase collects k n / d, digit by digit, for
+    every term at once.
+    """
+    terms = spec._terms.get(layout.dims)
+    if terms is not None:
+        return terms
+    radices, parties = _digits(spec, layout)
+    total = layout.total_dim
+    labels = np.nonzero(spec.joint)
+    digits = np.indices(radices).reshape(len(radices), total)
+    gather = np.zeros((len(labels[0]), total), dtype=np.intp)
+    inverse = np.zeros_like(gather)
+    turns = np.zeros(gather.shape)
+    for r, p, dig in zip(radices, parties, digits):
+        if p is None:
+            gather = gather * r + dig
+            inverse = inverse * r + dig
+            continue
+        m, n = np.divmod(labels[p], r)
+        gather = gather * r + (dig + m[:, None]) % r
+        inverse = inverse * r + (dig - m[:, None]) % r
+        turns += dig * n[:, None] % r / r
+    phase = np.sqrt(spec.joint[labels])[:, None] * np.exp(2j * np.pi * turns)
+    rows = np.arange(len(gather))[:, None]
+    terms = _PauliTerms(gather, phase, inverse + total * rows, phase[rows, inverse].conj())
+    spec._terms[layout.dims] = terms
+    return terms
 
 
 def apply_pauli(

@@ -196,13 +196,17 @@ def permute_slots(rho, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     return tensor.transpose(axes).reshape(total, total)
 
 
-def _entropy_from_eigenvalues(w: np.ndarray) -> float:
-    if w.min() < -PSD_TOL:
+def _entropy_from_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a (..., n) stack of spectra, one masked reduction
+    over the last axis: eigenvalues at most EIG_CLIP contribute zero.  A
+    member with an eigenvalue below -PSD_TOL raises NumericalError."""
+    low = w.min(axis=-1)
+    if low.min() < -PSD_TOL:
         raise NumericalError(
-            f"entropy of indefinite operator: min eigenvalue {w.min():.3e}"
+            f"entropy of indefinite operator: min eigenvalue {low.min():.3e}"
         )
-    w = w[w > EIG_CLIP]
-    return float(-(w * np.log2(w)).sum())
+    terms = w * np.log2(np.maximum(w, EIG_CLIP))
+    return -np.where(w > EIG_CLIP, terms, 0.0).sum(axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -211,7 +215,7 @@ def von_neumann_entropy(rho) -> float:
     dev = np.abs(rho - rho.conj().T).max()
     if dev > 1e-8:
         raise NumericalError(f"entropy of non-Hermitian operator (dev {dev:.3e})")
-    return _entropy_from_eigenvalues(np.linalg.eigvalsh(rho))
+    return float(_entropy_from_eigenvalues(np.linalg.eigvalsh(rho)))
 
 
 def shannon_entropy(p) -> float:

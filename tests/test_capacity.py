@@ -55,6 +55,7 @@ from densecode.errors import (
 from densecode.linalg import (
     EIG_CLIP,
     SubsystemLayout,
+    complex_gaussian,
     partial_trace,
     random_density_matrix,
     random_isometry,
@@ -316,6 +317,168 @@ class TestEntropyGradient:
             assert abs(value - want_value) <= 1e-12
             for got, want in zip(grads, want_grads, strict=True):
                 assert np.abs(got - want).max() <= 1e-12
+
+
+# (sender dims, receiver dim, party dims, acts_on): qubit, qutrit and mixed
+# slots, an untouched slot, and a tiled sender and receiver slot.
+LOW_RANK_LAYOUTS = [
+    ((2,), 2, (2, 2), (0, 1)),
+    ((2, 2), 2, (2, 2, 2), (0, 1, 2)),
+    ((3,), 3, (3, 3), (0, 1)),
+    ((2, 3), 2, (3, 2), (1, 2)),
+    ((4,), 2, (2, 2, 2), (0, 0, 1)),
+    ((2,), 4, (2, 2, 2), (0, 1, 1)),
+]
+
+
+@st.composite
+def low_rank_problems(draw):
+    """(layout, factor dims, env_dim, rho, Pauli spec, chart start, chart
+    point) for the factored objective.
+
+    A rank 1-3 state; a spec with one to four random nonzero terms (sparse)
+    or, for parties of one dimension, one label shared by every party
+    (fully correlated); local or global factors; environments 1 and 2.
+    """
+    sender_dims, receiver, party_dims, acts_on = draw(st.sampled_from(LOW_RANK_LAYOUTS))
+    layout = SubsystemLayout(sender_dims, receiver)
+    dims = _factor_dims(layout, draw(st.sampled_from(["local", "global"])))
+    env = draw(st.integers(1, 2))
+    rank = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(d * d for d in party_dims)
+    joint = np.zeros(shape)
+    if len(set(party_dims)) == 1 and draw(st.booleans()):
+        labels = np.arange(shape[0])
+        joint[(labels,) * len(party_dims)] = rng.random(shape[0])
+    else:
+        joint.flat[rng.choice(joint.size, draw(st.integers(1, 4)), replace=False)] = 1.0
+        joint *= rng.random(shape)
+    spec = PauliChannelSpec(party_dims, joint / joint.sum(), acts_on)
+    psi = complex_gaussian(layout.total_dim, rank, rng)
+    rho = psi @ psi.conj().T
+    v0 = [random_isometry(env * d, d, rng) for d in dims]
+    x = 0.1 * rng.standard_normal(2 * sum(v.size for v in v0))
+    return layout, dims, env, rho / np.trace(rho), spec, v0, x
+
+
+def objective_on(path, rho, channel, layout, dims, env):
+    """``_entropy_objective`` with FACTORED_COLUMN_RATIO moved so that it
+    takes ``path`` on this input, and the list of (path, width) of its
+    member-kernel calls."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capacity, "FACTORED_COLUMN_RATIO",
+                      2.0**-10 if path == "factored" else 2**30)
+        calls = recording_members(patch)
+        return _entropy_objective(rho, channel, layout, dims, env), calls
+
+
+class TestFactoredObjective:
+    """The factored member kernel against the dense one, its oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(low_rank_problems(), st.integers(1, 3))
+    def test_matches_dense_objective(self, problem, members):
+        layout, dims, env, rho, spec, v0, _ = problem
+        rng = np.random.default_rng(members)
+        vs = [np.stack([v] + [random_isometry(*v.shape, rng) for _ in range(members - 1)])
+              for v in v0]
+        factored, factored_calls = objective_on("factored", rho, spec, layout, dims, env)
+        dense, dense_calls = objective_on("dense", rho, spec, layout, dims, env)
+        values, grads = factored(vs)
+        want_values, want_grads = dense(vs)
+        assert factored_calls == [("factored", members)]
+        assert dense_calls == [("dense", members)]
+        assert np.abs(values - want_values).max() <= 1e-12
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(low_rank_problems())
+    def test_chart_gradient_matches_central_differences(self, problem):
+        layout, dims, env, rho, spec, v0, x = problem
+        objective, calls = objective_on("factored", rho, spec, layout, dims, env)
+        fun, _ = one_chart(objective, v0)
+        _, grad = fun(x)
+        assert np.abs(grad - central_difference_gradient(fun, x)).max() < 1e-6
+        assert {path for path, _ in calls} == {"factored"}
+
+    @pytest.mark.parametrize("rank, env, channel, path, eigh", [
+        (1, 1, "pauli", "factored", True),    # n = 4 <= D / 2
+        (2, 1, "pauli", "factored", True),    # n = 8 = D / 2
+        (3, 1, "pauli", "dense", True),       # n = 12 > D / 2
+        (16, 1, "pauli", "dense", True),      # full rank
+        (1, 2, "pauli", "dense", False),      # T E = 4 * 2^3 > D / 2: no eigh
+        (1, 1, "kraus", "dense", False),      # a CptpMap
+    ])
+    def test_selection_rule(self, monkeypatch, rank, env, channel, path, eigh):
+        # ghz-full's layout and fully correlated channel at D = 16, T = 4.
+        layout = SubsystemLayout([2, 2, 2], 2)
+        spec = fully_correlated_probs(4, [0.85, 0.05, 0.05, 0.05])
+        rng = np.random.default_rng(rank)
+        psi = complex_gaussian(16, rank, rng)
+        rho = psi @ psi.conj().T / np.vdot(psi, psi).real
+        factors, low_rank = [], capacity._low_rank_factor
+        monkeypatch.setattr(capacity, "_low_rank_factor",
+                            lambda r: factors.append(r) or low_rank(r))
+        calls = recording_members(monkeypatch)
+        chan = spec if channel == "pauli" else pauli_kraus(spec)
+        objective = _entropy_objective(rho, chan, layout, (2, 2, 2), env)
+        objective([np.stack([random_isometry(env * 2, 2, rng)] * 2)] * 3)
+        assert calls == [(path, 2)]
+        assert len(factors) == eigh
+
+    def test_rank_cut_reproduces_rho(self):
+        rng = np.random.default_rng(4)
+        u = random_unitary(8, rng)
+        for w, rank in (([0.5, 0.3, 0.2] + [0.0] * 5, 3),
+                        ([0.6, 0.4, 3e-13, 2e-13, 1e-13, 1e-13, 0.0, -1e-13], 2),
+                        ([1.0] + [3e-13] * 7, 5),
+                        ([1 / 8] * 8, 8)):
+            rho = (u * np.array(w)) @ u.conj().T
+            psi_t = capacity._low_rank_factor(rho)
+            assert psi_t.shape == (rank, 8)
+            assert np.abs(psi_t.T @ psi_t.conj() - rho).max() <= capacity.RANK_CUT_TOL
+        indefinite = (u * np.array([0.7, 0.3 + 1e-11] + [0.0] * 5 + [-1e-11])) @ u.conj().T
+        assert capacity._low_rank_factor(indefinite) is None
+        assert capacity._low_rank_factor(np.zeros((8, 8), dtype=complex)) is None
+        # eigh reads one triangle; the reconstruction catches the other.
+        skewed = rho + 1e-9 * np.triu(complex_gaussian(8, 8, rng), 1)
+        assert capacity._low_rank_factor(skewed) is None
+
+    def test_members_are_checked_one_by_one(self):
+        # A member scaled off the isometries fails the Gram trace check, a
+        # non-finite one the finiteness check; _members isolates each.
+        layout = SubsystemLayout([2, 2, 2], 2)
+        spec = fully_correlated_probs(4, [0.85, 0.05, 0.05, 0.05])
+        rho = ghz_state(4)
+        rng = np.random.default_rng(5)
+        objective, calls = objective_on("factored", rho, spec, layout, (2, 2, 2), 1)
+        vs = [np.stack([random_isometry(2, 2, rng) for _ in range(3)]) for _ in range(3)]
+        vs[0][1] *= 1.01
+        vs[2][2, 0, 0] = np.nan
+
+        def values(ids, xs):
+            return (objective([v[ids] for v in vs])[0],)
+
+        outcomes = capacity._members(values, [0, 1, 2], np.zeros((3, 1)))
+        assert isinstance(outcomes[0], tuple)
+        assert isinstance(outcomes[1], NumericalError)
+        assert "trace off by" in str(outcomes[1])
+        assert isinstance(outcomes[2], NumericalError)
+        assert "non-finite" in str(outcomes[2])
+        assert {path for path, _ in calls} == {"factored"}
+
+    def test_debug_line_names_the_path(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="densecode"):
+            run_scenario({**SCENARIO_FAMILIES["ghz-full"], "seed": 7})
+            run_scenario({**SCENARIO_FAMILIES["depolarizing-d3"], "seed": 7})
+        lines = [r.getMessage() for r in caplog.records if "entropy objective" in r.getMessage()]
+        assert lines == [
+            "entropy objective: factored path, D = 16, rank 1, 4 terms, 4 columns",
+            "entropy objective: dense path, D = 9, rank None, 81 terms, None columns",
+        ]
 
 
 def gram_pullback(a, grad):
@@ -609,6 +772,34 @@ def recording_statuses(patch):
     return statuses
 
 
+def recording_members(patch):
+    """Wrap both member kernels of ``capacity._entropy_objective`` through
+    ``patch`` (a MonkeyPatch) and return the list it fills with the (path,
+    stack width) of every member-kernel call."""
+    calls = []
+    for path in ("dense", "factored"):
+        build = getattr(capacity, f"_{path}_members")
+
+        def recording_build(*args, build=build, path=path):
+            members = build(*args)
+
+            def recording(vs):
+                calls.append((path, len(vs[0])))
+                return members(vs)
+
+            return recording
+
+        patch.setattr(capacity, f"_{path}_members", recording_build)
+    return calls
+
+
+# The member kernel each scenario family's searches take: ghz-full is pure
+# with T = 4 terms (n = 4 <= D / 2); bell-correlated has n = T = D,
+# bell-diagonal-full rank D and depolarizing-d3 T = 81 > D.
+FAMILY_PATHS = {family: "factored" if family == "ghz-full" else "dense"
+                for family in SCENARIO_FAMILIES}
+
+
 def criterion_12_minima():
     """Minimum output entropies of acceptance criterion 12's ten states, one
     row (local, global, CPTP env 2) per state: the same channel, states and
@@ -639,9 +830,11 @@ class TestScipyOracle:
     def test_scenario_capacities_match(self, monkeypatch, family):
         config = {**SCENARIO_FAMILIES[family], "seed": 7}
         statuses = recording_statuses(monkeypatch)
+        calls = recording_members(monkeypatch)
         (row,) = run_scenario(config)
         monkeypatch.setattr(capacity, "_lockstep", scipy_lockstep)
         (oracle,) = run_scenario(config)
+        assert {path for path, _ in calls} == {FAMILY_PATHS[family]}
         assert abs(row.optimizer_bits - row.closed_form_bits) <= 1e-6
         assert statuses and set(statuses) == {0}
         assert abs(row.optimizer_bits - oracle.optimizer_bits) <= 1e-8
@@ -685,7 +878,9 @@ class TestLockstep:
     @pytest.mark.parametrize("family", list(SCENARIO_FAMILIES))
     def test_scenario_restarts_match_their_runs_alone(self, monkeypatch, family, seed):
         pairs = alone_pairs(monkeypatch)
+        calls = recording_members(monkeypatch)
         run_scenario({**SCENARIO_FAMILIES[family], "seed": seed})
+        assert {path for path, _ in calls} == {FAMILY_PATHS[family]}
         assert len(pairs) >= 16
         assert_same_runs(pairs)
 
@@ -698,9 +893,10 @@ class TestLockstep:
         assert_same_runs(pairs)
 
     def test_stack_cap_of_one_member_changes_nothing(self, monkeypatch):
-        # ghz-full at D = 16: uncapped, each round is one 16-member call; a
-        # cap of one entry evaluates the members one call each.
-        config = {**SCENARIO_FAMILIES["ghz-full"], "seed": 7}
+        # bell-diagonal-full at D = 16 (rank 16, dense): uncapped, each round
+        # is one 16-member call; a cap of one entry evaluates the members one
+        # call each.
+        config = {**SCENARIO_FAMILIES["bell-diagonal-full"], "seed": 7}
         widths, weyl_apply = [], channels._weyl_apply
         results, lockstep = [], capacity._lockstep
 
@@ -720,6 +916,30 @@ class TestLockstep:
             widths.clear()
             run_scenario(config)
             widest.append(max(widths))
+        assert widest == [16, 1]
+        uncapped, capped = results
+        assert_same_runs(zip(uncapped, capped, strict=True))
+
+    def test_factored_stack_cap_of_one_member_changes_nothing(self, monkeypatch):
+        # ghz-full at D = 16 on the factored path (n D = 64 entries per
+        # member): uncapped, each round is one 16-member call; a cap of one
+        # entry evaluates the members one call each.
+        config = {**SCENARIO_FAMILIES["ghz-full"], "seed": 7}
+        results, lockstep = [], capacity._lockstep
+
+        def recording(*args):
+            results.append(lockstep(*args))
+            return results[-1]
+
+        monkeypatch.setattr(capacity, "_lockstep", recording)
+        calls = recording_members(monkeypatch)
+        widest = []
+        for cap in (capacity.STACK_ENTRY_CAP, 1):
+            monkeypatch.setattr(capacity, "STACK_ENTRY_CAP", cap)
+            calls.clear()
+            run_scenario(config)
+            assert {path for path, _ in calls} == {"factored"}
+            widest.append(max(width for _, width in calls))
         assert widest == [16, 1]
         uncapped, capped = results
         assert_same_runs(zip(uncapped, capped, strict=True))
@@ -1036,13 +1256,18 @@ class TestGeneratorCertificate:
         capacity_nonunitary(bell_state(2), identity_channel(layout), layout, "local",
                             env_dim=2, cfg=QUICK)
 
-    def test_ghz_full_copies_4_past_the_encoding_set_cap(self):
+    def test_ghz_full_copies_4_past_the_encoding_set_cap(self, monkeypatch):
         # D_A^2 = 16384 is above ENCODING_SET_CAP, which rejected this run
-        # while the driver enumerated the set.
+        # while the driver enumerated the set.  D = 256 with the default 16
+        # restarts, on the factored path: about 60 s on the dense one.
+        statuses = recording_statuses(monkeypatch)
+        calls = recording_members(monkeypatch)
         (row,) = run_scenario({
             "scenario": "ghz-full", "state": {"copies": 4},
-            "channel": {"q": [0.85, 0.05, 0.05, 0.05]}, "optimizer": {"restarts": 1}})
+            "channel": {"q": [0.85, 0.05, 0.05, 0.05]}})
+        assert {path for path, _ in calls} == {"factored"}
         assert abs(row.optimizer_bits - 8.0) <= 1e-6
+        assert statuses == [0] * 16
 
 
 class TestClosedForms:

@@ -20,6 +20,7 @@ from densecode.channels import (
     _gather_conjugate,
     _kraus_apply,
     _monomial_gathers,
+    _pauli_terms,
     _stacked_maps,
     adjoint_map,
     apply_channel,
@@ -795,6 +796,47 @@ class TestStackedMaps:
     def test_unsupported_channel_type_rejected(self):
         with pytest.raises(ChannelError, match="unsupported channel type ndarray"):
             _stacked_maps(np.eye(4), SubsystemLayout([2], 2))
+
+
+class TestPauliTerms:
+    """``_pauli_terms``, a Pauli spec's nonzero terms sqrt(q_t) W_t as
+    lifted digit permutations and phases, for the factored objective."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pauli_channels_on_layouts())
+    @example(channel_case((2, 2, 2), (0, 1, 1), [2, 4], 3))     # tiled receiver
+    @example(channel_case((3, 2), (0, 2), [3, 2, 2], 4))        # untouched slot
+    @example(channel_case((2,) * 6, (2, 0, 2, 0, 2, 1), (4, 2, 8), seed=2, terms=6))
+    def test_terms_match_term_sum(self, case):
+        spec, layout, rho = case
+        terms = _pauli_terms(spec, layout)
+        total = layout.total_dim
+        assert terms.gather.shape == (np.count_nonzero(spec.joint), total)
+        out = sum(ph[:, None] * rho[np.ix_(g, g)] * ph.conj()
+                  for g, ph in zip(terms.gather, terms.phase))
+        assert np.abs(out - term_sum_oracle(spec, rho, layout)).max() <= 1e-12
+        # The adjoint of each term, read from the flattened stack of outputs.
+        y = random_hermitian(total, np.random.default_rng(0))[:, :2]
+        outputs = (terms.phase[:, :, None] * y[terms.gather]).reshape(-1, 2)
+        for t, (g, ph) in enumerate(zip(terms.gather, terms.phase)):
+            w = np.zeros((total, total), dtype=complex)
+            w[np.arange(total), g] = ph
+            back = terms.phase_adj[t][:, None] * outputs[terms.inverse[t]]
+            assert np.abs(back - w.conj().T @ (w @ y)).max() <= 1e-14
+
+    def test_built_once_per_layout_without_dense_operators(self, monkeypatch):
+        # O(T D): no displacement matrix, Kraus kron or Weyl kernel is built.
+        def banned(*args, **kwargs):
+            raise AssertionError("a term was built from a dense operator")
+
+        for name in ("displacement_op", "kron_all", "pauli_kraus", "_weyl_kernel"):
+            monkeypatch.setattr(channels, name, banned)
+        spec = fully_correlated_probs(8, [0.85, 0.05, 0.05, 0.05])
+        layout = SubsystemLayout([2] * 7, 2)
+        terms = _pauli_terms(spec, layout)
+        assert _pauli_terms(spec, layout) is terms
+        assert list(spec._terms) == [layout.dims] and spec._kernels == {}
+        assert sum(a.nbytes for a in vars(terms).values()) == 4 * 256 * (8 + 8 + 16 + 16)
 
 
 def dense_verify_covariance(spec, ops, layout, trials=20, seed=0):

@@ -13,7 +13,9 @@ from densecode.errors import (
     SizeLimitError,
 )
 from densecode.linalg import (
+    EIG_CLIP,
     SubsystemLayout,
+    _entropy_from_eigenvalues,
     _conjugate_leading,
     _hermitian_eigh,
     _kron_stacks,
@@ -203,6 +205,26 @@ class TestEntropies:
     def test_indefinite_operator_rejected(self):
         with pytest.raises(NumericalError):
             von_neumann_entropy(np.diag([1.5, -0.5]))
+
+    def test_stacked_spectra_match_member_loop(self):
+        # One masked reduction over a (B, n) stack against the member-by-member
+        # sum over the eigenvalues above EIG_CLIP: equal up to the summation
+        # order, with clipped, zero and -1e-11 entries.
+        rng = np.random.default_rng(18)
+        w = np.sort(rng.random((6, 40)) ** 8, axis=1)
+        w[1, :5] = [-1e-11, 0.0, 1e-13, EIG_CLIP, 2e-12]
+        w[2] = 0.0
+        w /= np.maximum(w.sum(axis=1, keepdims=True), 1.0)
+        got = _entropy_from_eigenvalues(w)
+        assert got.shape == (6,) and got[2] == 0.0
+        for row, value in zip(w, got):
+            kept = row[row > EIG_CLIP]
+            assert abs(value + (kept * np.log2(kept)).sum()) <= 1e-15
+
+    def test_stacked_spectra_reject_an_indefinite_member(self):
+        w = np.array([[0.0, 0.5, 0.5], [-2e-10, 0.2, 0.8], [0.1, 0.1, 0.8]])
+        with pytest.raises(NumericalError, match=r"min eigenvalue -2\.000e-10"):
+            _entropy_from_eigenvalues(w)
 
 
 class TestValidation:
