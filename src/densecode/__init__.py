@@ -5,10 +5,8 @@ import logging
 
 from .capacity import (
     CapacityReport,
-    EncodingEnsemble,
     Lemma2Report,
     OptimizerConfig,
-    attaining_ensemble,
     capacity_covariant,
     capacity_nonunitary,
     closed_form_bd_fully_correlated,
@@ -16,7 +14,6 @@ from .capacity import (
     closed_form_depolarizing,
     closed_form_ghz_fully_correlated,
     depolarizing_invariance_check,
-    holevo,
     lemma2_orthogonality_check,
 )
 from .channels import (
@@ -32,7 +29,6 @@ from .channels import (
     correlated_probs,
     depolarizing_probs,
     fully_correlated_probs,
-    pauli_kraus,
     product_probs,
     verify_covariance,
 )

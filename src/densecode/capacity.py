@@ -1,6 +1,6 @@
-"""Superdense-coding capacities: Holevo evaluation, closed forms for the
-solved channel/state families, attaining ensembles, and entropy minimization
-over unitary or CPTP encodings on the sender slots.
+"""Superdense-coding capacities: closed forms for the solved channel/state
+families, and entropy minimization over unitary or CPTP encodings on the
+sender slots with the Holevo cross-check of the attaining ensemble.
 
 For a covariant channel the capacity splits into three terms,
 
@@ -70,7 +70,6 @@ from .errors import (
     NumericalError,
     OptimizerDivergedError,
     ParameterError,
-    ProbabilityError,
 )
 from .linalg import (
     EIG_CLIP,
@@ -95,8 +94,6 @@ logger = logging.getLogger("densecode")
 
 COVARIANCE_CERT_TOL = 1e-10
 CROSSCHECK_TOL = 1e-6
-ENSEMBLE_PROB_TOL = 1e-10
-ENSEMBLE_UNITARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -112,32 +109,6 @@ class OptimizerConfig:
             raise ParameterError("need at least one restart")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-
-
-@dataclass(frozen=True, eq=False)
-class EncodingEnsemble:
-    """(probability, encoder) pairs; encoders are sender-space unitaries or
-    CPTP maps on the sender slots."""
-
-    members: tuple[tuple[float, object], ...]
-
-    def __post_init__(self):
-        total = sum(p for p, _ in self.members)
-        if abs(total - 1.0) > ENSEMBLE_PROB_TOL:
-            raise ProbabilityError(f"member probabilities sum to {total!r}")
-        checked = []
-        for p, enc in self.members:
-            if p < 0:
-                raise ProbabilityError(f"negative member probability {p!r}")
-            if isinstance(enc, CptpMap):
-                checked.append((float(p), enc))
-                continue
-            u = as_complex_matrix(enc, "encoder")
-            dev = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-            if dev > ENSEMBLE_UNITARY_TOL:
-                raise NumericalError(f"encoder unitary deviates by {dev:.3e}")
-            checked.append((float(p), u))
-        object.__setattr__(self, "members", tuple(checked))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,45 +135,6 @@ def encode_with_unitary(rho, u, layout: SubsystemLayout) -> np.ndarray:
 
 def _encode_with_kraus(rho, ks: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
     return _conjugate_leading(rho, ks, layout.sender_dim)
-
-
-def _encode(rho, encoder, layout: SubsystemLayout) -> np.ndarray:
-    """Encode by a unitary or a CptpMap on the sender slots; an encoder whose
-    operators are not sender_dim x sender_dim raises LayoutError."""
-    if isinstance(encoder, CptpMap):
-        return _encode_with_kraus(rho, encoder.kraus, layout)
-    return _encode_with_kraus(rho, as_complex_matrix(encoder, "encoder")[None], layout)
-
-
-def holevo(
-    ensemble: EncodingEnsemble, channel, rho, layout: SubsystemLayout
-) -> float:
-    """Holevo quantity chi = S(sum_i p_i out_i) - sum_i p_i S(out_i) in bits."""
-    rho = as_complex_matrix(rho, "rho")
-    average = np.zeros_like(rho)
-    mean_entropy = 0.0
-    for p, encoder in ensemble.members:
-        if p == 0.0:
-            continue
-        out = apply_channel(channel, _encode(rho, encoder, layout), layout)
-        average += p * out
-        mean_entropy += p * von_neumann_entropy(out)
-    return von_neumann_entropy(average) - mean_entropy
-
-
-def attaining_ensemble(encoder_min, enc_set: np.ndarray) -> EncodingEnsemble:
-    """Uniform ensemble of the encoding set, a stack of sender unitaries V_i
-    such as ``local_encoding_set``, composed with the minimizer.
-
-    For a unitary U the members are V_i @ U; for a CPTP map the members
-    conjugate its output by V_i, Kraus stack V_i @ K.
-    """
-    p = 1.0 / len(enc_set)
-    if isinstance(encoder_min, CptpMap):
-        return EncodingEnsemble(tuple((p, CptpMap(v @ encoder_min.kraus))
-                                      for v in enc_set))
-    u = as_complex_matrix(encoder_min, "encoder")
-    return EncodingEnsemble(tuple((p, v @ u) for v in enc_set))
 
 
 # ---------------------------------------------------------------------------
@@ -798,12 +730,13 @@ def _receiver_entropy(out, layout: SubsystemLayout) -> float:
     return von_neumann_entropy(partial_trace(out, layout, {layout.receiver_slot}))
 
 
-def _crosscheck(capacity, encoder, channel, rho, layout) -> float:
-    """Holevo quantity of the attaining ensemble {1/D_A^2, V_i E}: under the
-    certified covariance each member's output is V_i sigma V_i^dag, sigma =
-    Lambda(E(rho)), and the V_i average those to 1/D_A x Tr_A sigma, so
+def _crosscheck(capacity, ks, channel, rho, layout) -> float:
+    """Holevo quantity of the attaining ensemble {1/D_A^2, V_i E}, E the
+    encoder with Kraus stack ``ks``: under the certified covariance each
+    member's output is V_i sigma V_i^dag, sigma = Lambda(E(rho)), and the V_i
+    average those to 1/D_A x Tr_A sigma, so
     chi = log2 D_A + S(Tr_A sigma) - S(sigma)."""
-    sigma = apply_channel(channel, _encode(rho, encoder, layout), layout)
+    sigma = apply_channel(channel, _encode_with_kraus(rho, ks, layout), layout)
     chi = (math.log2(layout.sender_dim) + _receiver_entropy(sigma, layout)
            - von_neumann_entropy(sigma))
     if abs(chi - capacity) > CROSSCHECK_TOL:
@@ -830,7 +763,7 @@ def _capacity(rho, channel, layout, mode, env_dim, cfg, as_cptp) -> CapacityRepo
     log_da = math.log2(layout.sender_dim)
     s_b = _receiver_entropy(apply_channel(channel, rho, layout), layout)
     capacity = log_da + s_b - entropy
-    chi = _crosscheck(capacity, encoder, channel, rho, layout)
+    chi = _crosscheck(capacity, ks, channel, rho, layout)
     return CapacityReport(
         capacity_bits=capacity,
         log_sender_dim=log_da,

@@ -21,9 +21,13 @@ uses the nonzero terms themselves, each a lifted digit permutation and phase
 
 Kraus maps and their adjoints conjugate through ``linalg._conjugate_leading``,
 which applies a stack of operators to the leading factor of a state without
-forming K x 1; ``apply_cptp`` permutes its slots to the front and back around
-it.  The covariance check conjugates by its sender operators, displacement
-products with one unit-modulus entry per row, as index gathers and phases.
+forming K x 1.  ``_stacked_maps`` is the one place that reads a channel's
+type: ``apply_channel``, ``adjoint_map``, ``verify_covariance`` and the
+entropy objective all take their maps from it.  ``apply_cptp``, for a Kraus
+map on some of the slots, permutes them to the front and back around the
+conjugation.  The covariance check conjugates by its sender operators,
+displacement products with one unit-modulus entry per row, as index gathers
+and phases.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .displacement import displacement_op
 from .errors import (
     ChannelError,
     LayoutError,
@@ -51,7 +54,6 @@ from .linalg import (
     _conjugate_leading,
     _on_layout,
     as_complex_matrix,
-    kron_all,
     permute_slots,
     random_density_matrix,
 )
@@ -131,7 +133,7 @@ class PauliChannelSpec:
     party_dims: tuple[int, ...]
     joint: np.ndarray
     acts_on: tuple[int, ...]
-    # Weyl kernels by layout dims, built by apply_pauli on first use.
+    # Weyl kernels by layout dims, built by _weyl_kernel on first use.
     _kernels: dict = field(default_factory=dict, init=False, repr=False)
     # Terms as gathers and phases by layout dims, built by the factored
     # entropy objective on first use.
@@ -139,6 +141,8 @@ class PauliChannelSpec:
 
     def __post_init__(self):
         party_dims = tuple(int(d) for d in self.party_dims)
+        if min(party_dims, default=2) < 2:
+            raise ParameterError(f"party dimensions must be >= 2, got {list(party_dims)}")
         acts_on = tuple(int(s) for s in self.acts_on)
         joint = np.asarray(self.joint, dtype=float)
         expected = tuple(d * d for d in party_dims)
@@ -535,27 +539,10 @@ def _kraus_apply(kraus: np.ndarray, rho: np.ndarray, a: int) -> np.ndarray:
     return out
 
 
-def pauli_kraus(spec: PauliChannelSpec) -> CptpMap:
-    """Kraus view {sqrt(q) V x ... x V} on the parties in party order."""
-    ops = []
-    for idx in np.argwhere(spec.joint > 0.0):
-        prob = float(spec.joint[tuple(idx)])
-        factors = [
-            displacement_op(spec.party_dims[p], int(l) // spec.party_dims[p],
-                            int(l) % spec.party_dims[p])
-            for p, l in enumerate(idx)
-        ]
-        ops.append(np.sqrt(prob) * kron_all(factors))
-    return CptpMap(ops)
-
-
 def apply_channel(channel, rho, layout: SubsystemLayout) -> np.ndarray:
-    """Dispatch: joint Pauli spec, or a CPTP map on the full space."""
-    if isinstance(channel, PauliChannelSpec):
-        return apply_pauli(channel, rho, layout)
-    if isinstance(channel, CptpMap):
-        return apply_cptp(channel, rho, range(len(layout.dims)), layout)
-    raise ChannelError(f"unsupported channel type {type(channel).__name__}")
+    """Apply a joint Pauli spec, or a CPTP map on the full space."""
+    forward = _stacked_maps(channel, layout)[0]
+    return forward(_on_layout(as_complex_matrix(rho, "rho"), layout.total_dim))
 
 
 def adjoint_map(channel, layout: SubsystemLayout):
@@ -573,19 +560,19 @@ def adjoint_map(channel, layout: SubsystemLayout):
 
 def _stacked_maps(channel, layout: SubsystemLayout):
     """(Lambda, Lambda^dag) on (..., D, D) stacks of operators on ``layout``,
-    member by member and without the public functions' input checks: the
-    channel's Weyl kernel with its eigenvalues and their conjugates, or its
-    Kraus stack and their adjoints.  Lambda checks each member's trace."""
+    member by member and without the public functions' input checks; the
+    one function that reads a channel's type.  They are the channel's Weyl
+    kernel with its eigenvalues, or its Kraus stack; Lambda^dag conjugates
+    them at each call, so a forward-only caller forms no adjoint operands.
+    Lambda checks each member's trace."""
     if isinstance(channel, PauliChannelSpec):
         kernel = _weyl_kernel(channel, layout)
-        eigen = kernel.eigen.conj()
         return (lambda x: _weyl_apply(kernel, x, kernel.eigen),
-                lambda y: _weyl_apply(kernel, y, eigen))
+                lambda y: _weyl_apply(kernel, y, kernel.eigen.conj()))
     if isinstance(channel, CptpMap):
         kraus, total = channel.kraus, layout.total_dim
-        daggers = kraus.conj().transpose(0, 2, 1)
         return (lambda x: _kraus_apply(kraus, x, total),
-                lambda y: _conjugate_leading(y, daggers, total))
+                lambda y: _conjugate_leading(y, kraus.conj().transpose(0, 2, 1), total))
     raise ChannelError(f"unsupported channel type {type(channel).__name__}")
 
 
@@ -704,6 +691,8 @@ def channel_from_json(doc: dict) -> PauliChannelSpec:
         party_dims = read("party_dims", tuple)
         joint = np.asarray(read("joint", list), dtype=float)
         shape = read("shape", tuple)
+        if min(shape, default=0) < 0:
+            raise ChannelError(f"channel: 'shape' {list(shape)} has a negative entry")
         if joint.size != math.prod(shape):
             raise ChannelError(f"channel: 'joint' has {joint.size} entries, "
                                f"'shape' {list(shape)} needs {math.prod(shape)}")

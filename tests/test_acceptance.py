@@ -13,7 +13,6 @@ import numpy as np
 
 from densecode.capacity import (
     OptimizerConfig,
-    attaining_ensemble,
     capacity_covariant,
     capacity_nonunitary,
     closed_form_bd_fully_correlated,
@@ -21,7 +20,6 @@ from densecode.capacity import (
     closed_form_depolarizing,
     closed_form_ghz_fully_correlated,
     depolarizing_invariance_check,
-    holevo,
     lemma2_orthogonality_check,
 )
 from densecode.channels import (
@@ -47,6 +45,7 @@ from densecode.states import (
     bell_state,
     ghz_state,
 )
+from oracles import attaining_ensemble, holevo
 
 H_FROZEN = 1.8464393446710154      # Shannon entropy of (0.4, 0.3, 0.2, 0.1)
 CAP_FROZEN = 0.15356065532898455   # 2 - H_FROZEN

@@ -149,6 +149,9 @@ BELL_MATRIX = {"re": [[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 
       "channel": {"joint": [1, 0, 0], "party_dims": [2], "shape": [4]}}, "'joint'"),
     ({"scenario": "bell-correlated", "state": {"dims": [2]},
       "channel": {"singles": [[[0.7, 0.1], [0.1, 0.1]]] * 2, "mu": 0.5}}, "'singles'"),
+    # [-1, -4] has the joint's 4 entries, but numpy's reshape refuses it.
+    ({"scenario": "custom",
+      "channel": {"joint": [1, 0, 0, 0], "party_dims": [2], "shape": [-1, -4]}}, "'shape'"),
 ])
 def test_malformed_channel_named_in_error(tmp_path, capsys, cfg, field):
     if cfg["scenario"] == "custom":
@@ -240,10 +243,14 @@ NAN = math.nan
      "negative or NaN joint probability nan"),
     (with_field(CUSTOM_CONFIG, "channel.joint", [0.5, NAN] + [0] * 14),
      "negative or NaN joint probability nan"),
-], ids=["q", "singles", "mu", "mu-matrix", "joint", "joint-second"])
+    ({**CUSTOM_CONFIG, "channel": {"joint": [], "party_dims": [0], "shape": [0]}},
+     "party dimensions must be >= 2, got [0]"),
+], ids=["q", "singles", "mu", "mu-matrix", "joint", "joint-second", "party-dim-0"])
 def test_nan_probability_rejected(tmp_path, capsys, cfg, message):
     # Every comparison with NaN is false, so checks written as "fails if
-    # below 0" passed it, and the run ended in a LinAlgError traceback.
+    # below 0" passed it, and the run ended in a LinAlgError traceback.  A
+    # party of dimension 0 has an empty joint tensor, whose minimum numpy
+    # refuses with a ValueError.
     status, err = run_cli_config(tmp_path, capsys, cfg)
     assert status == 2
     assert err.startswith("error: ") and message in err
