@@ -27,7 +27,8 @@ entropy objective all take their maps from it.  ``apply_cptp``, for a Kraus
 map on some of the slots, permutes them to the front and back around the
 conjugation.  The covariance check conjugates by its sender operators,
 displacement products with one unit-modulus entry per row, as index gathers
-and phases.
+and phases, a chunk of operators at a time, and applies the channel once per
+chunk.
 """
 
 from __future__ import annotations
@@ -576,6 +577,15 @@ def _stacked_maps(channel, layout: SubsystemLayout):
     raise ChannelError(f"unsupported channel type {type(channel).__name__}")
 
 
+# Entries of the largest (c, D, D) stack that ``verify_covariance`` conjugates
+# and passes to the channel in one call: c = max(1, CERTIFY_ENTRY_CAP // D^2)
+# sender operators, 5 at D = 27 and one per call from D = 64, where the
+# per-call overhead that stacking saves is small against the channel apply.
+# Each chunk holds its c D^2 gather index, which for all 18 generators at
+# D = 1024 would be 151 MB.
+CERTIFY_ENTRY_CAP = 2**12
+
+
 def verify_covariance(
     spec,
     ops,
@@ -588,49 +598,56 @@ def verify_covariance(
     Checks Lambda(V rho V^dag) = V Lambda(rho) V^dag for every sender-space
     unitary V in ``ops``, a sequence or (T, D_A, D_A) stack of monomial
     unitaries such as ``sender_generators`` or ``local_encoding_set`` (each
-    extended by identity on the receiver slot).  Each V x 1 conjugates by an
-    index gather and a phase (``_monomial_gathers``), and the channel, a
-    Pauli spec or any full-space CPTP map, runs once per operator through
-    its cached kernel or Kraus stack.  No trials or no operators leave
-    nothing to certify and raise ParameterError.
+    extended by identity on the receiver slot).  Each V x 1 is a lifted
+    permutation and phase (``_monomial_gathers``); a trial conjugates the
+    operators in chunks of at most CERTIFY_ENTRY_CAP entries, each one
+    gather into a (c, D, D) stack (``_monomial_conjugate``), and the channel,
+    a Pauli spec or any full-space CPTP map, runs once per chunk through its
+    cached kernel or Kraus stack.  No trials or no operators leave nothing
+    to certify and raise ParameterError.
     """
     ops = np.asarray(ops, dtype=complex)
     if trials < 1 or not len(ops):
         raise ParameterError(f"need trials >= 1 and operators, got {trials} and {len(ops)}")
-    gathers = _monomial_gathers(ops, layout)
+    perms, phases = _monomial_gathers(ops, layout)
     forward = _stacked_maps(spec, layout)[0]
+    total = layout.total_dim
+    size = max(1, CERTIFY_ENTRY_CAP // total**2)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        rho = random_density_matrix(layout.total_dim, rng)
+        rho = random_density_matrix(total, rng)
         out = forward(rho)
-        for gather in gathers:
-            lhs = forward(_gather_conjugate(rho, gather))
-            rhs = _gather_conjugate(out, gather)
+        for start in range(0, len(perms), size):
+            perm, phase = perms[start:start + size], phases[start:start + size]
+            index = perm[:, :, None] * total + perm[:, None, :]
+            lhs = forward(_monomial_conjugate(rho, index, phase))
+            rhs = _monomial_conjugate(out, index, phase)
             worst = max(worst, np.abs(lhs - rhs).max())
     return worst
 
 
-def _gather_conjugate(x: np.ndarray, gather) -> np.ndarray:
-    """``f * x[ix] * fc`` for one ``(ix, f, fc)`` of ``_monomial_gathers``,
-    multiplied into the gathered copy: at D = 256 a fresh D x D product
-    costs twice the gather and both multiplies together."""
-    ix, f, fc = gather
-    y = x[ix]
-    np.multiply(f, y, out=y)
-    return np.multiply(y, fc, out=y)
+def _monomial_conjugate(x: np.ndarray, index: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The (c, D, D) stack of (V_t x 1) x (V_t x 1)^dag for c operators of
+    ``_monomial_gathers``, P and f their rows: one flat gather of the D x D
+    ``x`` with ``index = P[:, :, None] * D + P[:, None, :]``, then
+    f[:, :, None] * y * conj(f)[:, None, :] multiplied into the gathered
+    copy, since at D = 256 a fresh product costs twice the gather and both
+    multiplies together."""
+    y = np.take(x, index)
+    np.multiply(phase[:, :, None], y, out=y)
+    return np.multiply(y, phase.conj()[:, None, :], out=y)
 
 
 def _monomial_gathers(ops: np.ndarray, layout: SubsystemLayout):
-    """Each sender operator V of a (T, D_A, D_A) stack, checked to be a
+    """The sender operators V of a (T, D_A, D_A) stack, each checked to be a
     monomial unitary (one unit-modulus entry in each row and each column),
-    as ``(ix, f, fc)`` with
+    as two (T, D) arrays (P, f) with
 
-        (V x 1) x (V x 1)^dag = f * x[ix] * fc.
+        ((V_t x 1) x (V_t x 1)^dag)[i, j] = f[t, i] x[P[t, i], P[t, j]] conj(f[t, j]).
 
     With V[i, perm[i]] = phase[i] and b = D / D_A, the lifted permutation is
-    P[i*b + y] = perm[i]*b + y (``ix = np.ix_(P, P)``) and the lifted phase
-    f[i*b + y] = phase[i] (``f`` a column, ``fc`` its conjugate as a row).
+    P[i*b + y] = perm[i]*b + y and the lifted phase f[i*b + y] = phase[i].
     Two length-D vectors per operator; no D x D index, no K x 1.
     """
     d_a = layout.sender_dim
@@ -658,8 +675,7 @@ def _monomial_gathers(ops: np.ndarray, layout: SubsystemLayout):
                              f"modulus is off 1 by {float(off[t])!r}")
     b = layout.total_dim // d_a
     lifted = (perms[..., None] * b + np.arange(b)).reshape(len(ops), -1)
-    phases = np.repeat(phases, b, axis=1)
-    return [(np.ix_(p, p), f[:, None], f.conj()) for p, f in zip(lifted, phases)]
+    return lifted, np.repeat(phases, b, axis=1)
 
 
 def channel_to_json(spec: PauliChannelSpec) -> dict:

@@ -369,6 +369,8 @@ def run_verify(suite: str, seed: int = 42, out=None) -> int:
         out = sys.stdout
     if suite not in VERIFY_SUITES:
         raise ConfigError(f"suite: unknown value {suite!r}; expected {VERIFY_SUITES}")
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
     names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
     checks: list[VerifyCheck] = []
     for name in names:

@@ -892,7 +892,8 @@ class TestLockstep:
     def test_stack_cap_of_one_member_changes_nothing(self, monkeypatch):
         # bell-diagonal-full at D = 16 (rank 16, dense): uncapped, each round
         # is one 16-member call; a cap of one entry evaluates the members one
-        # call each.
+        # call each.  The certification's chunks of sender generators (4 at
+        # D = 16) go through the same apply, so both caps are set.
         config = {**SCENARIO_FAMILIES["bell-diagonal-full"], "seed": 7}
         widths, weyl_apply = [], channels._weyl_apply
         results, lockstep = [], capacity._lockstep
@@ -910,6 +911,7 @@ class TestLockstep:
         widest = []
         for cap in (capacity.STACK_ENTRY_CAP, 1):
             monkeypatch.setattr(capacity, "STACK_ENTRY_CAP", cap)
+            monkeypatch.setattr(channels, "CERTIFY_ENTRY_CAP", cap)
             widths.clear()
             run_scenario(config)
             widest.append(max(widths))

@@ -17,8 +17,8 @@ from densecode.channels import (
     CptpMap,
     PauliChannelSpec,
     SinglePartyPauliSpec,
-    _gather_conjugate,
     _kraus_apply,
+    _monomial_conjugate,
     _monomial_gathers,
     _pauli_terms,
     _stacked_maps,
@@ -858,7 +858,9 @@ def dense_verify_covariance(spec, ops, layout, trials=20, seed=0):
 
 def covariance_cases():
     """(name, channel, layout) for the gather/dense differential: qubit and
-    qutrit senders, mixed dims, tiled receiver and sender slots, a Kraus map."""
+    qutrit senders, mixed dims, tiled receiver and sender slots, a Kraus map,
+    and the benchmark's shape, two qutrit senders and a qutrit receiver under
+    a correlated 3-party spec."""
     rng = np.random.default_rng(21)
     qubits = correlated_probs([random_single(2, rng) for _ in range(3)],
                               CorrelationSpec.uniform(3, 0.6))
@@ -873,6 +875,9 @@ def covariance_cases():
         ("tiled sender", product_probs([random_single(2, np.random.default_rng(3))
                                         for _ in range(3)], acts_on=(0, 0, 1)), tiled),
         ("kraus map", pauli_kraus(qubits), SubsystemLayout([2, 2], 2)),
+        ("qutrit senders (D = 27)", correlated_probs(
+            [random_single(3, rng) for _ in range(3)], CorrelationSpec.uniform(3, 0.5)),
+         SubsystemLayout([3, 3], 3)),
     ]
 
 
@@ -915,14 +920,17 @@ class TestCovariance:
                                                 ((2, 2), 3), ((4,), 2)])
     def test_gather_matches_dense_conjugation(self, dims, receiver):
         layout = SubsystemLayout(dims, receiver)
+        total = layout.total_dim
         rng = np.random.default_rng(list(dims) + [receiver])
-        x = random_density_matrix(layout.total_dim, rng)
+        x = random_density_matrix(total, rng)
         ops = local_encoding_set(dims)
-        for gather, v in zip(_monomial_gathers(ops, layout), ops):
-            ix, f, fc = gather
+        perms, phases = _monomial_gathers(ops, layout)
+        got = _monomial_conjugate(x, perms[:, :, None] * total + perms[:, None, :], phases)
+        assert got.shape == (len(ops), total, total)
+        for member, v, p, f in zip(got, ops, perms, phases):
             dense = _conjugate_leading(x, v[None], layout.sender_dim)
-            assert np.array_equal(_gather_conjugate(x, gather), f * x[ix] * fc)
-            assert np.abs(_gather_conjugate(x, gather) - dense).max() <= 1e-15
+            assert np.array_equal(member, f[:, None] * x[np.ix_(p, p)] * f.conj())
+            assert np.abs(member - dense).max() <= 1e-15
 
     @pytest.mark.parametrize("case", covariance_cases(), ids=lambda case: case[0])
     @pytest.mark.parametrize("generators", [True, False])
@@ -936,6 +944,51 @@ class TestCovariance:
             assert dev > COVARIANCE_CERT_TOL
         else:
             assert dev <= 1e-12, name
+
+    def test_entry_cap_of_one_operator_changes_nothing(self, monkeypatch):
+        # Uncapped, a trial conjugates the operators in chunks of up to
+        # CERTIFY_ENTRY_CAP // D^2 (all of them for D <= 12, 5 at D = 27, one
+        # at D = 256); a cap of one entry conjugates them one call each.
+        widths, stacked_maps = [], channels._stacked_maps
+
+        def recording_maps(channel, layout):
+            forward, adjoint = stacked_maps(channel, layout)
+
+            def recording(x):
+                if x.ndim == 3:
+                    widths.append(len(x))
+                return forward(x)
+
+            return recording, adjoint
+
+        monkeypatch.setattr(channels, "_stacked_maps", recording_maps)
+        ghz = fully_correlated_probs(8, [0.85, 0.05, 0.05, 0.05])
+        runs = [(name, channel, layout, ops, 3)
+                for name, channel, layout in covariance_cases()
+                for ops in (sender_generators(layout.sender_dims),
+                            local_encoding_set(layout.sender_dims))]
+        runs.append(("ghz-full copies 4", ghz, SubsystemLayout([2] * 7, 2),
+                     sender_generators([2] * 7), 1))
+        widest, default = {}, channels.CERTIFY_ENTRY_CAP
+        for name, channel, layout, ops, trials in runs:
+            devs = []
+            for cap in (default, 1):
+                monkeypatch.setattr(channels, "CERTIFY_ENTRY_CAP", cap)
+                widths.clear()
+                devs.append(verify_covariance(channel, ops, layout, trials=trials, seed=3))
+                assert sum(widths) == trials * len(ops), name
+                widest.setdefault(name, []).append(max(widths))
+            assert devs[0] == devs[1], name
+        assert widest == {
+            "qubit senders": [4, 1, 16, 1],
+            "qutrit sender": [2, 1, 9, 1],
+            "mixed dims (2, 3)": [4, 1, 28, 1],
+            "tiled receiver": [2, 1, 4, 1],
+            "tiled sender": [2, 1, 16, 1],
+            "kraus map": [4, 1, 16, 1],
+            "qutrit senders (D = 27)": [4, 1, 5, 1],
+            "ghz-full copies 4": [1, 1],
+        }
 
     @pytest.mark.parametrize("ops, error, message", [
         (np.eye(2), LayoutError, r"shape \(2, 2\) is not \(T, 2, 2\)"),

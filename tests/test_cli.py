@@ -127,6 +127,7 @@ class TestScenarios:
         ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
         ({"max_iters": -3}, "max_iters must be >= 1, got -3"),
         ({"restarts": 0}, "need at least one restart"),
+        ({"seed": -3}, "seed must be >= 0, got -3"),
     ])
     def test_nonpositive_optimizer_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = {"scenario": "depolarizing", "state": {"d": 2, "copies": 1},
@@ -376,6 +377,10 @@ class TestVerify:
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
             run_verify("bogus")
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "--suite", "twirl", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed: must be >= 0, got -1\n")
 
     def test_failing_check_exits_1(self, monkeypatch, capsys):
         monkeypatch.setitem(cli._SUITE_RUNNERS, "twirl", lambda seed: [
