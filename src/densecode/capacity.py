@@ -38,8 +38,10 @@ runs when n <= D / FACTORED_COLUMN_RATIO, the measured crossover.
 
 Every run keeps one restart pinned at the identity encoding, and derived
 searches are warm-started from the solutions of their restricted
-counterparts (global from the kron of the local optimum, CPTP from [U; 0])
-so the capacity hierarchy is monotone by construction.
+counterparts (global from the kron of the local optimum, CPTP from [U; 0]).
+The restricted optimum stays a candidate with the entropy its own search
+found, so the hierarchy local <= global <= CPTP holds exactly, with no
+rounding between its levels.
 """
 
 from __future__ import annotations
@@ -638,56 +640,40 @@ def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm
     factors, trace).
 
     Restart 0 starts at the identity [1; 0], restarts 1..restarts-1 at seeded
-    random isometries, and the warm points follow.  With env_dim > 1 the
-    identity and warm restarts search from polar(V0 + CPTP_KICK [0; X]), X
-    seeded from cfg.seed, and keep V0 itself as a candidate.  An error in a
-    restart's evaluation aborts that restart alone, and is logged in restart
-    order once the search ends.  Ties between restarts break toward the
-    lowest restart id.
+    random isometries, and one warm restart follows per (entropy, factors)
+    pair in ``warm``, starting at those factors and keeping the pair, exactly
+    as given, as a candidate beside its search's result.  With env_dim > 1
+    the identity and warm restarts search from polar(V0 + CPTP_KICK [0; X]),
+    X seeded from cfg.seed.  An error in a restart's evaluation aborts that
+    restart's search alone, and is logged in restart order once the search
+    ends.  Ties break toward the lowest restart id, and within a warm
+    restart toward its pair.
     """
     starts = [[np.eye(env_dim * d, d, dtype=complex) for d in dims]]
     for rid in range(1, cfg.restarts):
         rng = np.random.default_rng((cfg.seed, rid))
         starts.append([random_isometry(env_dim * d, d, rng) for d in dims])
-    starts += warm
-    rng = np.random.default_rng(cfg.seed)
-    kick = [np.vstack([np.zeros((d, d)),
-                       CPTP_KICK * complex_gaussian((env_dim - 1) * d, d, rng)])
-            for d in dims]
-
-    found: list[list] = [[] for _ in starts]
-    errors: dict[int, BaseException] = {}
-    kicked = [rid for rid in range(len(starts))
-              if env_dim > 1 and (rid == 0 or rid >= cfg.restarts)]
-    if kicked:
-        def values_at(ids, v0s):
-            values, _ = objective([np.stack(f) for f in zip(*v0s)])
-            return (values,)
-
-        for rid, out in zip(kicked, _members(values_at, kicked, [starts[r] for r in kicked])):
-            if isinstance(out, BaseException):
-                errors[rid] = out
-                continue
-            found[rid].append((float(out[0]), starts[rid]))
+    starts += [vs for _, vs in warm]
+    if env_dim > 1:
+        rng = np.random.default_rng(cfg.seed)
+        kick = [np.vstack([np.zeros((d, d)),
+                           CPTP_KICK * complex_gaussian((env_dim - 1) * d, d, rng)])
+                for d in dims]
+        for rid in (0, *range(cfg.restarts, len(starts))):
             starts[rid] = [_polar_chart(v, x)[0] for v, x in zip(starts[rid], kick)]
-    live = [rid for rid in range(len(starts)) if rid not in errors]
-    if live:
-        fun, point = _on_chart(objective, [starts[rid] for rid in live])
-        x0 = np.zeros(2 * sum(v.size for v in starts[0]))
-        results = _lockstep(functools.partial(_members, fun), [x0] * len(live),
-                            cfg.max_iters)
-        for i, (rid, result) in enumerate(zip(live, results)):
-            if isinstance(result, BaseException):
-                errors[rid] = result
-            else:
-                found[rid].append((float(result.fun), point(i, result.x)))
 
+    fun, point = _on_chart(objective, starts)
+    x0 = np.zeros(2 * sum(v.size for v in starts[0]))
+    results = _lockstep(functools.partial(_members, fun), [x0] * len(starts),
+                        cfg.max_iters)
+    found = [[] for _ in range(cfg.restarts)] + [[pair] for pair in warm]
     trace: list[tuple[int, float]] = []
     best_value, best = np.inf, None
-    for rid, candidates in enumerate(found):
-        if rid in errors:
-            exc = errors[rid]
-            logger.warning("restart %d aborted: %s: %s", rid, type(exc).__name__, exc)
+    for rid, (candidates, result) in enumerate(zip(found, results)):
+        if isinstance(result, BaseException):
+            logger.warning("restart %d aborted: %s: %s", rid, type(result).__name__, result)
+        else:
+            candidates.append((float(result.fun), point(rid, result.x)))
         if not candidates:
             continue
         value, vs = min(candidates, key=lambda c: c[0])
@@ -701,14 +687,18 @@ def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm
 
 def _minimize_entropy(rho, channel, layout: SubsystemLayout, dims, env_dim: int, cfg):
     """Minimize over encoders with these factors, warm-started from the
-    restricted search: CPTP from the unitary one, global from the local one."""
+    restricted search's best (entropy, factors): CPTP from the unitary one as
+    [U; 0], global from the local one as the kron of its factors.  The pair
+    stays a candidate with its entropy as found, so the minimum never exceeds
+    the restricted one, not even by rounding."""
     warm = []
     if env_dim > 1:
-        _, unitary, _ = _minimize_entropy(rho, channel, layout, dims, 1, cfg)
-        warm.append([np.pad(u, ((0, (env_dim - 1) * len(u)), (0, 0))) for u in unitary])
+        entropy, unitary, _ = _minimize_entropy(rho, channel, layout, dims, 1, cfg)
+        warm.append((entropy, [np.pad(u, ((0, (env_dim - 1) * len(u)), (0, 0)))
+                               for u in unitary]))
     elif len(dims) < layout.k:
-        _, local, _ = _minimize_entropy(rho, channel, layout, layout.sender_dims, 1, cfg)
-        warm.append([kron_all(local)])
+        entropy, local, _ = _minimize_entropy(rho, channel, layout, layout.sender_dims, 1, cfg)
+        warm.append((entropy, [kron_all(local)]))
     objective = _entropy_objective(rho, channel, layout, dims, env_dim)
     return _minimize_restarts(objective, dims, env_dim, cfg, warm)
 
@@ -806,7 +796,8 @@ def capacity_nonunitary(
     with environment dimension ``env_dim``.
 
     One restart is warm-started from the best unitary encoder of the matching
-    unitary search, so the result never falls below the unitary capacity.
+    unitary search, which stays a candidate with its entropy, so the result
+    is never below the unitary capacity, not even by rounding.
     """
     return _capacity(rho, channel, layout, mode, env_dim, cfg, as_cptp=True)
 

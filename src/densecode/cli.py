@@ -128,14 +128,14 @@ def rows_to_json(rows) -> str:
 
 def _optimizer_config(cfg: dict, seed: int) -> OptimizerConfig:
     opt = json_field(cfg, "optimizer", dict, {})
-    unknown = set(opt) - {"restarts", "max_iters", "seed"}
+    unknown = set(opt) - {"restarts", "max_iters"}
     if unknown:
         raise ConfigError(f"optimizer: unknown fields {sorted(unknown)}")
     try:
         return OptimizerConfig(
             restarts=json_field(opt, "optimizer.restarts", int, OptimizerConfig.restarts),
             max_iters=json_field(opt, "optimizer.max_iters", int, OptimizerConfig.max_iters),
-            seed=json_field(opt, "optimizer.seed", int, seed),
+            seed=seed,
         )
     except ParameterError as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
@@ -151,6 +151,8 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
             f"scenario: unknown value {scenario!r}; expected one of {SCENARIOS}"
         )
     seed = json_field(cfg, "seed", int, OptimizerConfig.seed)
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
     opt_cfg = _optimizer_config(cfg, seed)
     run_optimizer = json_field(cfg, "run_optimizer", bool, True)
     mode = json_field(cfg, "mode", str, "local")

@@ -19,9 +19,12 @@ def _cli_env(base=None):
     ``DENSECODE_MAX_DIM`` so a cap set by the caller does not leak into the
     child, and puts ``PACKAGE_DIR`` at the front of ``PYTHONPATH`` so the
     child imports the same ``densecode`` whether or not it is installed.
+    The child writes no bytecode, so a test run leaves no ``__pycache__`` in
+    the source tree.
     """
     env = dict(os.environ if base is None else base)
     env.pop(MAX_DIM_ENV_VAR, None)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_DIR, env.get("PYTHONPATH")]))
     return env
 

@@ -58,7 +58,13 @@ from densecode.linalg import (
     random_unitary,
     von_neumann_entropy,
 )
-from densecode.states import assemble_product, bell_diagonal, bell_state, ghz_state
+from densecode.states import (
+    assemble_product,
+    bell_copies,
+    bell_diagonal,
+    bell_state,
+    ghz_state,
+)
 from oracles import EncodingEnsemble, attaining_ensemble, holevo, pauli_kraus
 from test_acceptance import criterion_04_channels
 
@@ -1001,6 +1007,24 @@ class TestCapacityCovariant:
         g = capacity_covariant(rho, chan, layout, "global", QUICK)
         assert g.capacity_bits >= lo.capacity_bits - 1e-6
 
+    @pytest.mark.parametrize("seed", [5, 8, 14])
+    def test_hierarchy_is_exact(self, seed):
+        # The benchmark's bell-correlated input.  At these seeds the warm
+        # restart's chart starts at polar(kron of the local optimum), whose
+        # entropy rounds 4.4e-16 to 8.9e-16 bits above the local minimum, and
+        # no global search ends below that minimum: only the entropy carried
+        # in the warm pair keeps global >= local with no tolerance.
+        rho, layout = bell_copies([2, 2])
+        singles = [SinglePartyPauliSpec(2, q)
+                   for q in ([[0.7, 0.1], [0.1, 0.1]], [[0.6, 0.2], [0.1, 0.1]])]
+        chan = correlated_probs(singles, CorrelationSpec.uniform(2, 0.5))
+        cfg = OptimizerConfig(seed=seed)
+        lo = capacity_covariant(rho, chan, layout, "local", cfg)
+        g = capacity_covariant(rho, chan, layout, "global", cfg)
+        cptp = capacity_nonunitary(rho, chan, layout, "global", env_dim=2, cfg=cfg)
+        assert g.capacity_bits >= lo.capacity_bits
+        assert cptp.capacity_bits >= g.capacity_bits
+
     def test_deterministic_given_seed(self):
         layout = SubsystemLayout([2], 2)
         chan = product_probs([depolarizing_probs(2, 0.3)] * 2)
@@ -1050,6 +1074,29 @@ class TestCapacityCovariant:
             "channel failed to preserve trace by 1.000e-03")
         assert any(isinstance(h, logging.NullHandler)
                    for h in logging.getLogger("densecode").handlers)
+
+    @pytest.mark.parametrize("phase, aborted", [(0.3, False), (math.pi, True)])
+    def test_warm_pair_kept_as_given(self, caplog, phase, aborted):
+        # The objective of test_aborted_restart_is_logged.  Its search from W
+        # reaches 0 or, with W's phase far from the identity, raises; either
+        # way the warm pair's -1.0 and W itself win, under restart id 1.
+        def objective(vs):
+            dev = vs[0] - np.eye(3)
+            if np.abs(dev).max() > 0.5:
+                raise NumericalError("channel failed to preserve trace by 1.000e-03")
+            return float(np.sum(np.abs(dev) ** 2)), [2.0 * dev]
+
+        w = np.diag([1.0, 1.0, np.exp(1j * phase)])
+        w_given = w.copy()
+        cfg = OptimizerConfig(restarts=1, max_iters=20, seed=42)
+        with caplog.at_level(logging.WARNING, logger="densecode"):
+            value, vs, trace = _minimize_restarts(stacked(objective), (3,), 1, cfg,
+                                                  [(-1.0, [w])])
+        assert value == -1.0 and trace == ((0, 0.0), (1, -1.0))
+        assert len(vs) == 1 and np.array_equal(vs[0], w_given)
+        assert [r.getMessage() for r in caplog.records] == (
+            ["restart 1 aborted: NumericalError: "
+             "channel failed to preserve trace by 1.000e-03"] if aborted else [])
 
     def test_non_finite_restart_is_logged(self, caplog):
         # Flat at 1.0 near the identity, where restart 0 starts; NaN from the

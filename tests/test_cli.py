@@ -116,18 +116,29 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="channel.*missing.*'q'"):
             run_scenario({"scenario": "ghz-full", "state": {"copies": 1}, "channel": {}})
 
-    @pytest.mark.parametrize("field", ["convergence_tol", "fd_step"])
-    def test_removed_optimizer_field_named_in_error(self, field):
+    # The optimizer's seed is the document's ``seed``; the block has no
+    # field of its own for it.
+    @pytest.mark.parametrize("field, value", [
+        ("convergence_tol", 1e-5), ("fd_step", 1e-5), ("seed", -3)],
+        ids=["convergence_tol", "fd_step", "seed"])
+    def test_removed_optimizer_field_named_in_error(self, field, value):
         cfg = bell_correlated_config(0.5)
-        cfg["optimizer"] = {**QUICK_OPT, field: 1e-5}
+        cfg["optimizer"] = {**QUICK_OPT, field: value}
         with pytest.raises(ConfigError, match=f"optimizer: unknown fields.*'{field}'"):
             run_scenario(cfg)
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        cfg = {"scenario": "ghz-full", "seed": -1, "state": {"copies": 1},
+               "channel": {"q": [0.85, 0.05, 0.05, 0.05]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["capacity", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: seed: must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("setting, message", [
         ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
         ({"max_iters": -3}, "max_iters must be >= 1, got -3"),
         ({"restarts": 0}, "need at least one restart"),
-        ({"seed": -3}, "seed must be >= 0, got -3"),
     ])
     def test_nonpositive_optimizer_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = {"scenario": "depolarizing", "state": {"d": 2, "copies": 1},
