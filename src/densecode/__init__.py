@@ -63,7 +63,6 @@ from .linalg import (
 )
 from .states import (
     BELL_LABEL_ORDER,
-    assemble_copies,
     assemble_product,
     bell_basis_state,
     bell_copies,

@@ -475,8 +475,9 @@ def _factored_members(psi_t, trace: float, terms, layout: SubsystemLayout, dims,
     # the rank and the slots already encoded, post_j the slots still to go.
     shapes = [(r * env_dim**j * math.prod(dims[:j]), d, math.prod(dims[j + 1:]) * db)
               for j, d in enumerate(dims)]
-    # With an environment, the last factor's output axes (r, e_1, d_1, ...,
-    # e_m, d_m, receiver) go to columns (r, e_1, ..., e_m) by rows D and back.
+    # The last factor's output axes (r, e_1, d_1, ..., e_m, d_m, receiver) go
+    # to columns (r, e_1, ..., e_m) by rows D and back; at env 1 the move
+    # shifts only length-1 axes.
     interleaved = (r,) + tuple(x for d in dims for x in (env_dim, d)) + (db,)
     order = [0] + [1 + 2 * j for j in range(m)] + [2 + 2 * j for j in range(m)] + [1 + 2 * m]
     split = tuple(interleaved[a] for a in order)
@@ -490,8 +491,7 @@ def _factored_members(psi_t, trace: float, terms, layout: SubsystemLayout, dims,
         for v, shape in zip(vs, shapes):
             inputs.append(y.reshape((-1,) + shape))
             y = v[:, None] @ inputs[-1]
-        if env_dim > 1:
-            y = y.reshape((b,) + interleaved).transpose(to_columns)
+        y = y.reshape((b,) + interleaved).transpose(to_columns)
         y = y.reshape(b, -1, total)
         x = np.take(y, terms.gather, axis=-1)
         x *= terms.phase
@@ -507,8 +507,7 @@ def _factored_members(psi_t, trace: float, terms, layout: SubsystemLayout, dims,
                  @ u.swapaxes(-1, -2)) @ x
         grad = np.take(grad.reshape(b, -1, n_terms * total), terms.inverse, axis=-1)
         grad = (grad * terms.phase_adj).sum(axis=-2)
-        if env_dim > 1:
-            grad = grad.reshape((b,) + split).transpose(from_columns)
+        grad = grad.reshape((b,) + split).transpose(from_columns)
         grads = [None] * m
         for j in reversed(range(m)):
             grad = grad.reshape((b,) + shapes[j][:1] + (-1,) + shapes[j][2:])

@@ -53,6 +53,7 @@ from .errors import (
 from .linalg import (
     SubsystemLayout,
     _conjugate_leading,
+    _kron_stacks,
     _on_layout,
     as_complex_matrix,
     permute_slots,
@@ -164,10 +165,6 @@ class PauliChannelSpec:
         object.__setattr__(self, "acts_on", acts_on)
         object.__setattr__(self, "joint", joint)
 
-    @property
-    def parties(self) -> int:
-        return len(self.party_dims)
-
     def with_acts_on(self, acts_on: Sequence[int]) -> "PauliChannelSpec":
         return PauliChannelSpec(self.party_dims, self.joint, tuple(acts_on))
 
@@ -252,16 +249,14 @@ def correlated_probs(
         )
     tables = [s.q.ravel() for s in singles]
 
-    # One open grid per block count, the index of each block's label.
-    grids = [np.ix_(*[np.arange(n_labels)] * n) for n in range(parties + 1)]
     joint = np.zeros((n_labels,) * parties)
     for blocks, weight in _component_partitions(corr.mu):
         term = weight * functools.reduce(np.multiply.outer, [tables[b[0]] for b in blocks])
-        # Every member of block b takes block b's label: broadcast the term
-        # onto the diagonal where those labels are equal.
-        grid = grids[len(blocks)]
-        owner = {p: b for b, block in enumerate(blocks) for p in block}
-        joint[tuple(grid[owner[p]] for p in range(parties))] += term
+        # Every member of block b takes block b's label: add the term onto the
+        # diagonal view whose axis b steps along all of block b's axes at once.
+        strides = [sum(joint.strides[p] for p in block) for block in blocks]
+        diagonal = np.lib.stride_tricks.as_strided(joint, term.shape, strides)
+        diagonal += term
     if acts_on is None:
         acts_on = range(parties)
     return PauliChannelSpec((d,) * parties, joint, tuple(acts_on))
@@ -424,10 +419,10 @@ def _weyl_kernel(spec: PauliChannelSpec, layout: SubsystemLayout) -> _WeylKernel
     shifted = np.zeros((total, total), dtype=np.intp)
     for r, dig in zip(radices, digits):
         shifted = shifted * r + np.add.outer(dig, dig) % r
-    fourier = functools.reduce(np.kron, (
-        np.exp(-2j * np.pi * (np.multiply.outer(np.arange(r), np.arange(r)) % r) / r)
+    fourier = _kron_stacks([
+        np.exp(-2j * np.pi * (np.multiply.outer(np.arange(r), np.arange(r)) % r) / r)[None]
         for r in radices
-    ))
+    ])[0]
     kernel = _WeylKernel(shifted * total + np.arange(total), fourier, eigen, fourier.conj())
     spec._kernels[layout.dims] = kernel
     return kernel

@@ -49,6 +49,7 @@ from .displacement import local_encoding_set, twirl, verify_displacement_algebra
 from .errors import ConfigError, DensecodeError, ParameterError, json_field
 from .linalg import (
     SubsystemLayout,
+    check_power,
     random_hermitian,
     validate_density_matrix,
 )
@@ -170,6 +171,7 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
         copies = json_field(state_cfg, "state.copies", int, 1)
         q = json_field(chan_cfg, "channel.q", list)
         single = bell_diagonal(weights)
+        check_power(4, copies)
         rho, layout = assemble_product([single] * copies, [(2, 2)] * copies)
         acts_on = tuple(range(copies)) + (copies,) * copies
         channel = fully_correlated_probs(2 * copies, q).with_acts_on(acts_on)
@@ -187,6 +189,7 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
         copies = json_field(state_cfg, "state.copies", int, 1)
         p = json_field(chan_cfg, "channel.p", float)
         single = bell_state(d)
+        check_power(d * d, copies)
         closed = closed_form_depolarizing(single, p, copies)
         rho, layout = assemble_product([single] * copies, [(d, d)] * copies)
         dep = depolarizing_probs(d, p)

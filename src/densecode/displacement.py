@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LayoutError, ParameterError, SizeLimitError
-from .linalg import _kron_stacks, check_dim, kron_all
+from .linalg import _kron_stacks, check_dim
 
 # On D_A^2: the set holds D_A^4 complex entries.  Capacity runs never build it.
 ENCODING_SET_CAP = 4096
@@ -106,10 +106,12 @@ def sender_generators(sender_dims: Sequence[int]) -> np.ndarray:
     ``local_encoding_set`` up to a phase, so a linear map covariant under
     them is covariant under all."""
     dims = tuple(int(d) for d in sender_dims)
-    return np.array([
-        kron_all([np.eye(math.prod(dims[:j])), displacement_op(d, m, n),
-                  np.eye(math.prod(dims[j + 1:]))])
-        for j, d in enumerate(dims) for m, n in ((1, 0), (0, 1))])
+    check_dim(math.prod(dims))
+    return np.concatenate([
+        _kron_stacks([np.eye(math.prod(dims[:j]), dtype=complex)[None],
+                      np.stack([displacement_op(d, 1, 0), displacement_op(d, 0, 1)]),
+                      np.eye(math.prod(dims[j + 1:]), dtype=complex)[None]])
+        for j, d in enumerate(dims)])
 
 
 def twirl(enc_set: np.ndarray, x) -> np.ndarray:

@@ -51,8 +51,21 @@ def dimension_cap() -> int:
 def check_dim(dim: int) -> int:
     cap = dimension_cap()
     if dim > cap:
-        raise SizeLimitError(f"dimension {dim} exceeds cap {cap}")
+        # Named by its leading power of 2 when wide: str() of an int of over
+        # 4300 digits raises ValueError.
+        bits = int(dim).bit_length()
+        shown = dim if bits <= 64 else f"2^{bits - 1} or more"
+        raise SizeLimitError(f"dimension {shown} exceeds cap {cap}")
     return dim
+
+
+def check_power(base: int, exponent: int) -> int:
+    """``check_dim(base ** exponent)`` for ``base >= 2``, decided from the
+    exponent before a power too large to hold is built."""
+    cap = dimension_cap()
+    if exponent > cap.bit_length() or base ** exponent > cap:
+        raise SizeLimitError(f"dimension {base}^{exponent} exceeds cap {cap}")
+    return base ** exponent
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -67,20 +80,17 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the configured size cap enforced."""
-    a = as_complex_matrix(a, "a")
-    b = as_complex_matrix(b, "b")
-    check_dim(max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
-    return np.kron(a, b)
+    return kron_all([a, b])
 
 
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    """Left-fold Kronecker product: sender slots ascending, receiver last."""
-    out = None
-    for m in mats:
-        out = m if out is None else kron(out, m)
-    if out is None:
+    """Kronecker product, first factor slowest: sender slots ascending,
+    receiver last.  The cap is checked on the factors' shapes first."""
+    mats = [as_complex_matrix(m, "factor") for m in mats]
+    check_dim(max(math.prod(m.shape[0] for m in mats), math.prod(m.shape[1] for m in mats)))
+    if not mats:
         return np.eye(1, dtype=complex)
-    return as_complex_matrix(out)
+    return _kron_stacks([m[None] for m in mats])[0]
 
 
 @dataclass(frozen=True)

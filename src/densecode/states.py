@@ -2,10 +2,10 @@
 states, and multi-copy assemblies regrouped to the canonical slot order.
 
 Canonical order places all sender slots first (ascending) and the receiver
-slot last.  ``assemble_copies`` performs the explicit permutation from the
+slot last.  ``assemble_product`` performs the explicit permutation from the
 interleaved copy order (a1 b1 a2 b2 ...) to the grouped order
 (a1 a2 ... b1 b2 ...), with Bob's slots merged into one product-dimension
-receiver slot.
+receiver slot; k copies of one state are ``assemble_product([rho] * k, ...)``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .displacement import displacement_op
 from .errors import LayoutError, ParameterError, ProbabilityError
-from .linalg import SubsystemLayout, check_dim, kron_all, permute_slots
+from .linalg import SubsystemLayout, check_dim, check_power, kron_all, permute_slots
 
 # Bell-diagonal weights index the Bell basis in lexicographic (m, n) order:
 # Phi_00, Phi_01, Phi_10, Phi_11.
@@ -43,7 +43,7 @@ def bell_state(d: int) -> np.ndarray:
 
 def bell_basis_state(d: int, m: int, n: int) -> np.ndarray:
     """Density matrix of |Phi_mn> = (V_mn x 1)|Phi_00>."""
-    psi = (np.kron(displacement_op(d, m, n), np.eye(d)) @ bell_vector(d))
+    psi = kron_all([displacement_op(d, m, n), np.eye(d)]) @ bell_vector(d)
     return np.outer(psi, psi.conj())
 
 
@@ -71,7 +71,7 @@ def ghz_state(parties: int) -> np.ndarray:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on ``parties`` qubits."""
     if parties < 2:
         raise ParameterError(f"need at least 2 parties, got {parties}")
-    dim = check_dim(2 ** parties)
+    dim = check_power(2, parties)
     psi = np.zeros(dim, dtype=complex)
     psi[0] = psi[-1] = 1 / np.sqrt(2)
     return np.outer(psi, psi.conj())
@@ -107,50 +107,8 @@ def assemble_product(
     return grouped, layout
 
 
-def assemble_copies(single, copies: int, layout_out: SubsystemLayout) -> np.ndarray:
-    """k identical two-slot copies, regrouped onto ``layout_out``.
-
-    ``layout_out`` must have ``copies`` equal sender dims and a receiver slot
-    of dimension d_b^copies.
-    """
-    if copies < 1:
-        raise ParameterError(f"copies must be >= 1, got {copies}")
-    single = np.asarray(single, dtype=complex)
-    if layout_out.k != copies:
-        raise LayoutError(f"layout has {layout_out.k} sender slots, expected {copies}")
-    da = layout_out.sender_dims[0]
-    if any(d != da for d in layout_out.sender_dims):
-        raise LayoutError("copies of one state need equal sender dims")
-    if single.shape[0] % da != 0:
-        raise LayoutError(
-            f"single-copy dim {single.shape[0]} not divisible by sender dim {da}"
-        )
-    db = single.shape[0] // da
-    if single.shape != (da * db, da * db):
-        raise LayoutError(f"single copy must be square, got {single.shape}")
-    if layout_out.receiver_dim != db ** copies:
-        raise LayoutError(
-            f"receiver dim {layout_out.receiver_dim} != {db}^{copies}"
-        )
-    grouped, _ = assemble_product([single] * copies, [(da, db)] * copies)
-    return grouped
-
-
 def bell_copies(dims: Sequence[int]) -> tuple[np.ndarray, SubsystemLayout]:
     """Tensor product of Bell states with per-copy dimensions, grouped."""
     pairs = [(int(d), int(d)) for d in dims]
     return assemble_product([bell_state(d) for d, _ in pairs], pairs)
 
-
-__all__ = [
-    "BELL_LABEL_ORDER",
-    "assemble_copies",
-    "assemble_product",
-    "bell_basis_state",
-    "bell_copies",
-    "bell_diagonal",
-    "bell_state",
-    "bell_vector",
-    "ghz_state",
-    "permute_slots",
-]

@@ -1,5 +1,6 @@
 import json
 import math
+import resource
 import subprocess
 import sys
 
@@ -488,3 +489,39 @@ class TestCommandLine:
         )
         assert proc.returncode == 2, proc.stderr
         assert "exceeds cap 16" in proc.stderr
+
+    @pytest.mark.parametrize("cfg", [
+        {"scenario": "ghz-full", "state": {"copies": 1e12}, "channel": {"q": [1, 0, 0, 0]}},
+        {"scenario": "ghz-full", "state": {"copies": 1e8}, "channel": {"q": [1, 0, 0, 0]}},
+        {"scenario": "bell-diagonal-full",
+         "state": {"weights": [0.7, 0.1, 0.1, 0.1], "copies": 1e12},
+         "channel": {"q": [0.8, 0.1, 0.05, 0.05]}},
+        {"scenario": "depolarizing", "state": {"d": 2, "copies": 1e12}, "channel": {"p": 0.3}},
+        {"scenario": "bell-correlated", "state": {"dims": [2] * 20_000},
+         "channel": {"singles": [[[0.7, 0.1], [0.1, 0.1]]] * 2, "mu": 0.5}},
+        {"scenario": "custom",
+         "state": {"matrix": {"re": [[1, 0], [0, 0]]},
+                   "layout": {"sender_dims": [2] * 20_000, "receiver_dim": 2}},
+         "channel": {"parties": 1, "d": 2, "singles": [[[1, 0], [0, 0]]], "mu": 0}},
+    ], ids=["ghz-copies-1e12", "ghz-copies-1e8", "bell-diagonal-copies-1e12",
+            "depolarizing-copies-1e12", "bell-correlated-20000-dims",
+            "custom-20000-sender-dims"])
+    def test_oversized_config_exits_2_before_allocating(self, tmp_path, cli_env, cfg):
+        # The child's address space is capped at 4 GiB, so a build that
+        # allocates before checking the cap fails with a MemoryError here
+        # rather than exhausting the machine.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        limit = 4 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "densecode", "capacity", "--config", str(cfg_path)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+            env={**cli_env(), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "exceeds cap 1024" in proc.stderr
+        assert "Traceback" not in proc.stderr

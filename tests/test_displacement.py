@@ -108,6 +108,18 @@ class TestLocalEncodingSet:
             with pytest.raises(SizeLimitError, match="dimension 64 exceeds cap 16"):
                 build([8, 8])
 
+    @pytest.mark.parametrize("dims", [(2,), (2, 3), (3, 3), (2, 2, 2)])
+    def test_generators_byte_identical_to_kron_all(self, dims):
+        # Oracle: one kron_all per generator, full-size identities on the
+        # other senders (size 1 included); the signs of zeros must match.
+        want = np.stack([
+            kron_all([np.eye(math.prod(dims[:j])), displacement_op(d, m, n),
+                      np.eye(math.prod(dims[j + 1:]))])
+            for j, d in enumerate(dims) for m, n in ((1, 0), (0, 1))])
+        got = sender_generators(dims)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dims", [[2], [3], [2, 2], [2, 3]])
     def test_hilbert_schmidt_orthogonality(self, dims):
         enc = local_encoding_set(dims)

@@ -19,8 +19,11 @@ from densecode.linalg import (
     _conjugate_leading,
     _hermitian_eigh,
     _kron_stacks,
+    check_dim,
+    check_power,
     dimension_cap,
     kron,
+    kron_all,
     partial_trace,
     permute_slots,
     random_density_matrix,
@@ -86,6 +89,36 @@ class TestKron:
         big = np.eye(64)
         with pytest.raises(SizeLimitError):
             kron(kron(big, big), big)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                              st.sampled_from(["complex", "real"])), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_kron_all_is_byte_identical_to_the_fold(self, factors, seed):
+        # Oracle: the np.kron left fold kron_all replaced.  Real-valued
+        # factors carry exact zero imaginary parts, whose signs must match too.
+        rng = np.random.default_rng(seed)
+        mats = [gaussian_stack((n, m), rng) for n, m, _ in factors]
+        mats = [a.real.astype(complex) if kind == "real" else a
+                for a, (_, _, kind) in zip(mats, factors)]
+        got, want = kron_all(mats), kron_fold(mats)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_kron_all_checks_the_cap_on_one_factor(self, monkeypatch):
+        monkeypatch.setenv("DENSECODE_MAX_DIM", "8")
+        with pytest.raises(SizeLimitError, match="dimension 16 exceeds cap 8"):
+            kron_all([np.eye(16)])
+        assert np.array_equal(kron_all([]), np.eye(1))
+
+    def test_oversized_dimension_named_by_its_power_of_two(self):
+        with pytest.raises(SizeLimitError, match=r"dimension 2\^100 or more exceeds cap 1024"):
+            check_dim(3 * 2**99)
+        with pytest.raises(SizeLimitError, match=r"dimension 4\^1000000000000 exceeds cap"):
+            check_power(4, 10**12)
+        assert check_power(2, 10) == 1024
+        with pytest.raises(SizeLimitError, match=r"dimension 2\^11 exceeds cap 1024"):
+            check_power(2, 11)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(NumericalError):

@@ -10,7 +10,6 @@ from densecode.linalg import (
 )
 from densecode.states import (
     BELL_LABEL_ORDER,
-    assemble_copies,
     assemble_product,
     bell_basis_state,
     bell_copies,
@@ -139,17 +138,17 @@ class TestGhz:
 class TestAssembly:
     def test_single_copy_unchanged(self):
         rho = bell_state(2)
-        layout = SubsystemLayout([2], 2)
-        assert np.abs(assemble_copies(rho, 1, layout) - rho).max() == 0
+        grouped, layout = assemble_product([rho], [(2, 2)])
+        assert np.abs(grouped - rho).max() == 0
+        assert layout == SubsystemLayout([2], 2)
 
     def test_two_bell_copies_pure(self):
-        layout = SubsystemLayout([2, 2], 4)
-        rho = assemble_copies(bell_state(2), 2, layout)
+        rho, layout = assemble_product([bell_state(2)] * 2, [(2, 2)] * 2)
+        assert layout == SubsystemLayout([2, 2], 4)
         assert von_neumann_entropy(rho) < 1e-12
 
     def test_two_bell_copies_receiver_marginal(self):
-        layout = SubsystemLayout([2, 2], 4)
-        rho = assemble_copies(bell_state(2), 2, layout)
+        rho, layout = assemble_product([bell_state(2)] * 2, [(2, 2)] * 2)
         marg = partial_trace(rho, layout, {2})
         assert np.abs(marg - np.eye(4) / 4).max() < 1e-14
 
@@ -169,8 +168,8 @@ class TestAssembly:
 
     def test_copy_marginals_match_single(self):
         single = bell_diagonal([0.4, 0.3, 0.2, 0.1])
-        layout = SubsystemLayout([2, 2, 2], 8)
-        rho = assemble_copies(single, 3, layout)
+        rho, layout = assemble_product([single] * 3, [(2, 2)] * 3)
+        assert layout == SubsystemLayout([2, 2, 2], 8)
         single_marg = partial_trace(single, SubsystemLayout([2], 2), {0})
         for j in range(3):
             marg = partial_trace(rho, layout, {j})
@@ -186,8 +185,8 @@ class TestAssembly:
             marg = partial_trace(rho, layout, {j})
             assert np.abs(marg - np.eye(d) / d).max() < 1e-13
 
-    def test_layout_mismatch_rejected(self):
-        with pytest.raises(LayoutError):
-            assemble_copies(bell_state(2), 2, SubsystemLayout([2, 2], 2))
-        with pytest.raises(LayoutError):
-            assemble_copies(bell_state(2), 2, SubsystemLayout([2, 3], 4))
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(LayoutError, match="one .d_a, d_b. pair per input state"):
+            assemble_product([bell_state(2)] * 2, [(2, 2)])
+        with pytest.raises(LayoutError, match=r"does not match slot dims \(2, 3\)"):
+            assemble_product([bell_state(2)], [(2, 3)])
