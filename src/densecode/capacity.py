@@ -51,6 +51,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,14 +73,13 @@ from .errors import (
     NumericalError,
     OptimizerDivergedError,
     ParameterError,
+    SizeLimitError,
 )
 from .linalg import (
-    EIG_CLIP,
     SubsystemLayout,
     _conjugate_leading,
     _dagger,
-    _entropy_from_eigenvalues,
-    _hermitian_eigh,
+    _entropy_and_log2,
     _kron_stacks,
     as_complex_matrix,
     complex_gaussian,
@@ -96,6 +96,9 @@ logger = logging.getLogger("densecode")
 
 COVARIANCE_CERT_TOL = 1e-10
 CROSSCHECK_TOL = 1e-6
+# Complex entries of a search's start points, (restarts + 1) env_dim sum d^2, as
+# many as its lockstep stack holds; default runs reach 8.9M (global D_A = 512).
+START_ENTRY_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,9 @@ class OptimizerConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ParameterError("need at least one restart")
         if self.max_iters < 1:
@@ -443,9 +449,8 @@ def _dense_members(rho, channel, layout: SubsystemLayout, dims, env_dim: int):
         factors = [v.reshape(len(v), env_dim, d, d) for v, d in zip(vs, dims)]
         ks = _kron_stacks(factors)
         sigma = forward(_encode_with_kraus(rho, ks, layout))
-        w, u = _hermitian_eigh(sigma)
-        values = _entropy_from_eigenvalues(w)
-        g = adjoint((u * np.log2(np.maximum(w, EIG_CLIP))[..., None, :]) @ _dagger(u))
+        values, log2_sigma = _entropy_and_log2(sigma)
+        g = adjoint(log2_sigma)
         kron_rho = ks[..., None, :, :] @ columns
         grad = -2.0 * (g.reshape(len(g), 1, da, -1)
                        @ kron_rho.reshape(ks.shape[:2] + (-1, da)))
@@ -460,60 +465,48 @@ def _factored_members(psi_t, trace: float, terms, layout: SubsystemLayout, dims,
     Psi Psi^dag of rank r (``psi_t`` = Psi^T) and a Pauli channel with terms
     sqrt(q_t) W_t (``channels._PauliTerms``).
 
-    The output is sigma = X X^dag with X = [sqrt(q_t) W_t (K_e x 1) Psi]_(e,t),
-    a D x n matrix, n = E T r, so sigma's nonzero spectrum is that of the
-    n x n Gram matrix X^dag X.  The sender factors act on Psi one slot at a
-    time, each a matmul on its slot's axis (the joint Kraus kron is never
-    formed), and the W_t are gathers and phases.  The gradient is
-    dS/dconj(X) = -X log2(X^dag X) (eigenvalues clipped at EIG_CLIP, the
-    d tr(sigma) term left out as on the dense path), pulled back through the
-    W_t and then through the factors in reverse, which gives each factor
-    2 dS/dconj(V_j) as a contraction with its input."""
+    The output is sigma = X X^dag with X = [sqrt(q_t) W_t (K_e x 1) Psi],
+    a D x n matrix, n = E T r, columns in the order (e_m, ..., e_1, r, t), so
+    sigma's nonzero spectrum is that of the n x n Gram matrix X^dag X.  The
+    sender factors act on Psi one slot at a time, each a matmul on its slot's
+    axis (the joint Kraus kron is never formed), and the W_t are gathers and
+    phases.  The gradient is dS/dconj(X) = -X log2(X^dag X) (eigenvalues
+    clipped at EIG_CLIP, the d tr(sigma) term left out as on the dense path),
+    pulled back through the W_t and then through the factors in reverse,
+    which gives each factor 2 dS/dconj(V_j) as a contraction with its input."""
     r, total = psi_t.shape
-    m, db = len(dims), layout.receiver_dim
     # Factor j acts on axis d_j of its input (pre_j, d_j, post_j): pre_j holds
-    # the rank and the slots already encoded, post_j the slots still to go.
-    shapes = [(r * env_dim**j * math.prod(dims[:j]), d, math.prod(dims[j + 1:]) * db)
-              for j, d in enumerate(dims)]
-    # The last factor's output axes (r, e_1, d_1, ..., e_m, d_m, receiver) go
-    # to columns (r, e_1, ..., e_m) by rows D and back; at env 1 the move
-    # shifts only length-1 axes.
-    interleaved = (r,) + tuple(x for d in dims for x in (env_dim, d)) + (db,)
-    order = [0] + [1 + 2 * j for j in range(m)] + [2 + 2 * j for j in range(m)] + [1 + 2 * m]
-    split = tuple(interleaved[a] for a in order)
-    to_columns = [0] + [1 + a for a in order]
-    from_columns = [0] + [1 + a for a in np.argsort(order)]
-    n_terms = len(terms.gather)
+    # the environments, the rank and the slots already encoded, post_j the
+    # slots still to go.  It puts its environment axis first, so the last
+    # factor's output is already columns (e_m, ..., e_1, r) by rows D.
+    shapes = [(r * env_dim**j * math.prod(dims[:j]), d,
+               math.prod(dims[j + 1:]) * layout.receiver_dim) for j, d in enumerate(dims)]
 
     def members(vs):
         b = len(vs[0])
         y, inputs = psi_t, []
-        for v, shape in zip(vs, shapes):
-            inputs.append(y.reshape((-1,) + shape))
-            y = v[:, None] @ inputs[-1]
-        y = y.reshape((b,) + interleaved).transpose(to_columns)
-        y = y.reshape(b, -1, total)
-        x = np.take(y, terms.gather, axis=-1)
+        for v, (pre, d, post) in zip(vs, shapes):
+            inputs.append(y.reshape(-1, 1, pre, d, post))
+            y = v.reshape(b, env_dim, 1, d, d) @ inputs[-1]
+        x = np.take(y.reshape(b, -1, total), terms.gather, axis=-1)
         x *= terms.phase
         x = x.reshape(b, -1, total)
         gram = x.conj() @ x.swapaxes(-1, -2)
         trace_dev = np.abs(np.trace(gram, axis1=-2, axis2=-1) - trace)
         if trace_dev.max() > 1e-10:
             raise NumericalError(f"encoded output trace off by {trace_dev.max():.3e}")
-        w, u = _hermitian_eigh(gram)
-        values = _entropy_from_eigenvalues(w)
+        values, log2_gram = _entropy_and_log2(gram)
         # -X log2(X^dag X), as rows of X^T: -conj(log2 gram) X^T.
-        grad = -((u.conj() * np.log2(np.maximum(w, EIG_CLIP))[..., None, :])
-                 @ u.swapaxes(-1, -2)) @ x
-        grad = np.take(grad.reshape(b, -1, n_terms * total), terms.inverse, axis=-1)
+        grad = -log2_gram.conj() @ x
+        grad = np.take(grad.reshape(b, -1, terms.gather.size), terms.inverse, axis=-1)
         grad = (grad * terms.phase_adj).sum(axis=-2)
-        grad = grad.reshape((b,) + split).transpose(from_columns)
-        grads = [None] * m
-        for j in reversed(range(m)):
-            grad = grad.reshape((b,) + shapes[j][:1] + (-1,) + shapes[j][2:])
-            grads[j] = 2.0 * (grad @ _dagger(inputs[j])).sum(axis=1)
+        grads = [None] * len(dims)
+        for j in reversed(range(len(dims))):
+            pre, d, post = shapes[j]
+            grad = grad.reshape(b, env_dim, pre, d, post)
+            grads[j] = 2.0 * (grad @ _dagger(inputs[j])).sum(axis=2).reshape(b, -1, d)
             if j:
-                grad = _dagger(vs[j])[:, None] @ grad
+                grad = (_dagger(vs[j].reshape(b, env_dim, 1, d, d)) @ grad).sum(axis=1)
         return values, grads
 
     return members
@@ -542,8 +535,7 @@ def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int
     """
     total = layout.total_dim
     budget = total // FACTORED_COLUMN_RATIO
-    psi_t = rank = columns = None
-    n_terms = len(channel.kraus) if isinstance(channel, CptpMap) else None
+    psi_t = rank = columns = n_terms = None
     if isinstance(channel, PauliChannelSpec):
         n_terms = int(np.count_nonzero(channel.joint))
         per_rank = n_terms * env_dim ** len(dims)
@@ -563,8 +555,6 @@ def _entropy_objective(rho, channel, layout: SubsystemLayout, dims, env_dim: int
     size = max(1, STACK_ENTRY_CAP // width)
 
     def objective(vs):
-        if len(vs[0]) <= size:
-            return members(vs)
         parts = [members([v[lo:lo + size] for v in vs]) for lo in range(0, len(vs[0]), size)]
         return (np.concatenate([values for values, _ in parts]),
                 [np.concatenate(g) for g in zip(*(grads for _, grads in parts))])
@@ -743,10 +733,14 @@ def _capacity(rho, channel, layout, mode, env_dim, cfg, as_cptp) -> CapacityRepo
     rho = as_complex_matrix(rho, "rho")
     dims = _factor_dims(layout, mode)
     for d in dims:
-        if not 1 <= env_dim <= d * d:
+        if not isinstance(env_dim, numbers.Integral) or not 1 <= env_dim <= d * d:
             raise ParameterError(
-                f"env_dim {env_dim} outside [1, {d * d}] for a dim-{d} slot"
+                f"env_dim must be an integer in [1, {d * d}] for a dim-{d} slot, got {env_dim!r}"
             )
+    entries = (cfg.restarts + 1) * env_dim * sum(d * d for d in dims)
+    if entries > START_ENTRY_CAP:
+        raise SizeLimitError(f"restarts {cfg.restarts}: start-point size {entries} "
+                             f"exceeds cap {START_ENTRY_CAP}")
     _certify(channel, layout, cfg)
     entropy, vs, trace = _minimize_entropy(rho, channel, layout, dims, env_dim, cfg)
     ks = _kron_stacks([v.reshape(env_dim, d, d) for v, d in zip(vs, dims)])

@@ -339,24 +339,6 @@ def fully_correlated_probs(parties: int, q: Sequence[float]) -> PauliChannelSpec
     return PauliChannelSpec((2,) * parties, joint, tuple(range(parties)))
 
 
-def _slot_assignment(spec: PauliChannelSpec, layout: SubsystemLayout) -> list[list[int]]:
-    """Parties grouped per layout slot, validated against the slot dims."""
-    dims = layout.dims
-    per_slot: list[list[int]] = [[] for _ in dims]
-    for party, slot in enumerate(spec.acts_on):
-        if not 0 <= slot < len(dims):
-            raise LayoutError(f"acts_on slot {slot} out of range for {len(dims)} slots")
-        per_slot[slot].append(party)
-    for slot, members in enumerate(per_slot):
-        if members:
-            tile = math.prod(spec.party_dims[p] for p in members)
-            if tile != dims[slot]:
-                raise LayoutError(
-                    f"parties {members} tile dimension {tile}, slot {slot} has {dims[slot]}"
-                )
-    return per_slot
-
-
 @dataclass(frozen=True, eq=False)
 class _WeylKernel:
     """A joint Pauli channel as a pointwise multiply in the Weyl domain.
@@ -383,16 +365,27 @@ class _WeylKernel:
 
 
 def _digits(spec: PauliChannelSpec, layout: SubsystemLayout):
-    """(radices, parties): the full-space index read as mixed-radix digits,
-    one per party in kron order (parties tiling a slot in party order) and
-    one per untouched slot, with the party on each digit, None for an
-    untouched slot."""
+    """(radices, parties, digits): the full-space index read as mixed-radix
+    digits, one per party in kron order (parties tiling a slot in party
+    order) and one per untouched slot; the party on each digit, None for an
+    untouched slot; and every index's digits as a (digits, D) array.  Raises
+    LayoutError unless each slot's parties tile its dimension."""
+    dims = layout.dims
+    per_slot: list[list[int]] = [[] for _ in dims]
+    for party, slot in enumerate(spec.acts_on):
+        if not 0 <= slot < len(dims):
+            raise LayoutError(f"acts_on slot {slot} out of range for {len(dims)} slots")
+        per_slot[slot].append(party)
     radices: list[int] = []
     parties: list[int | None] = []
-    for slot, members in enumerate(_slot_assignment(spec, layout)):
-        radices += [spec.party_dims[p] for p in members] or [layout.dims[slot]]
+    for slot, members in enumerate(per_slot):
+        tile = [spec.party_dims[p] for p in members] or [dims[slot]]
+        if math.prod(tile) != dims[slot]:
+            raise LayoutError(f"parties {members} tile dimension {math.prod(tile)}, "
+                              f"slot {slot} has {dims[slot]}")
+        radices += tile
         parties += members or [None]
-    return radices, parties
+    return radices, parties, np.indices(radices).reshape(len(radices), -1)
 
 
 def _weyl_kernel(spec: PauliChannelSpec, layout: SubsystemLayout) -> _WeylKernel:
@@ -400,7 +393,7 @@ def _weyl_kernel(spec: PauliChannelSpec, layout: SubsystemLayout) -> _WeylKernel
     kernel = spec._kernels.get(layout.dims)
     if kernel is not None:
         return kernel
-    radices, parties = _digits(spec, layout)
+    radices, parties, digits = _digits(spec, layout)
     touched = [p for p in parties if p is not None]
     # lambda varies along touched digits only
     extent = [r if p is not None else 1 for r, p in zip(radices, parties)]
@@ -415,7 +408,6 @@ def _weyl_kernel(spec: PauliChannelSpec, layout: SubsystemLayout) -> _WeylKernel
     lam = lam.transpose(list(range(t, 2 * t)) + list(range(t))).reshape(extent * 2)
     eigen = np.broadcast_to(lam, radices * 2).reshape(total, total) / total
 
-    digits = np.indices(radices).reshape(len(radices), total)
     shifted = np.zeros((total, total), dtype=np.intp)
     for r, dig in zip(radices, digits):
         shifted = shifted * r + np.add.outer(dig, dig) % r
@@ -454,10 +446,9 @@ def _pauli_terms(spec: PauliChannelSpec, layout: SubsystemLayout) -> _PauliTerms
     terms = spec._terms.get(layout.dims)
     if terms is not None:
         return terms
-    radices, parties = _digits(spec, layout)
+    radices, parties, digits = _digits(spec, layout)
     total = layout.total_dim
     labels = np.nonzero(spec.joint)
-    digits = np.indices(radices).reshape(len(radices), total)
     gather = np.zeros((len(labels[0]), total), dtype=np.intp)
     inverse = np.zeros_like(gather)
     turns = np.zeros(gather.shape)

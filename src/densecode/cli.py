@@ -74,6 +74,8 @@ CSV_COLUMNS = (
     "agreement",
 )
 AGREEMENT_TOL = 1e-6
+# Each sweep point runs a whole scenario.
+SWEEP_STEP_CAP = 10**5
 SCENARIOS = (
     "bell-correlated",
     "bell-diagonal-full",
@@ -242,6 +244,8 @@ def run_sweep(cfg: dict, param: str, start: float, stop: float, steps: int):
     """Run the scenario once per sweep point, in sweep order."""
     if steps < 1:
         raise ConfigError("sweep: steps must be >= 1")
+    if steps > SWEEP_STEP_CAP:
+        raise ConfigError(f"sweep: steps {steps} exceeds cap {SWEEP_STEP_CAP}")
     values = np.linspace(start, stop, steps)
     rows: list[ResultRow] = []
     for value in values:

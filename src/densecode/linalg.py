@@ -244,15 +244,19 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _hermitian_eigh(sigma: np.ndarray):
-    """``eigh`` of a (..., n, n) stack, each member first checked as
-    ``von_neumann_entropy`` checks its input: finite, and Hermitian to 1e-8."""
+def _entropy_and_log2(sigma: np.ndarray):
+    """(entropies in bits, log2 sigma) of a (..., n, n) stack by one ``eigh``,
+    log2 sigma with its eigenvalues clipped at EIG_CLIP.  Each member is first
+    checked as ``von_neumann_entropy`` checks its input: finite, and
+    Hermitian to 1e-8."""
     if not np.isfinite(sigma).all():
         raise NumericalError("entropy of an operator with non-finite entries")
     dev = np.abs(sigma - _dagger(sigma)).max(axis=(-2, -1))
     if dev.max() > 1e-8:
         raise NumericalError(f"entropy of non-Hermitian operator (dev {dev.max():.3e})")
-    return np.linalg.eigh(sigma)
+    w, u = np.linalg.eigh(sigma)
+    log2_sigma = (u * np.log2(np.maximum(w, EIG_CLIP))[..., None, :]) @ _dagger(u)
+    return _entropy_from_eigenvalues(w), log2_sigma
 
 
 def _conjugate_leading(rho, ks, a: int) -> np.ndarray:

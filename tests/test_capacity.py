@@ -47,6 +47,7 @@ from densecode.errors import (
     OptimizerDivergedError,
     ParameterError,
     ProbabilityError,
+    SizeLimitError,
 )
 from densecode.linalg import (
     EIG_CLIP,
@@ -1047,6 +1048,33 @@ class TestCapacityCovariant:
         with pytest.raises(ParameterError):
             OptimizerConfig(restarts=0)
 
+    @pytest.mark.parametrize("field", ["restarts", "max_iters", "seed"])
+    def test_non_integral_field_named(self, field):
+        # restarts=2.5 failed later with a bare TypeError; max_iters=2.5 ran.
+        with pytest.raises(ParameterError, match=f"{field} must be an integer, got 2.5"):
+            OptimizerConfig(**{field: 2.5})
+        assert getattr(OptimizerConfig(**{field: np.int64(3)}), field) == 3
+
+    def test_start_points_capped_before_certification(self, monkeypatch):
+        # restarts=10**12 drew start points without bound.
+        class Certifying(Exception):
+            pass
+
+        def certify(*args):
+            raise Certifying
+
+        monkeypatch.setattr(capacity, "_certify", certify)
+        layout = SubsystemLayout([2], 2)
+        chan = identity_channel(layout)
+        fits = capacity.START_ENTRY_CAP // 4 - 1  # (restarts + 1) 2^2 entries at env 1
+        with pytest.raises(Certifying):
+            capacity_covariant(bell_state(2), chan, layout, "local", OptimizerConfig(fits))
+        with pytest.raises(SizeLimitError, match="exceeds cap"):
+            capacity_covariant(bell_state(2), chan, layout, "local", OptimizerConfig(fits + 1))
+        with pytest.raises(SizeLimitError, match="exceeds cap"):
+            capacity_nonunitary(bell_state(2), chan, layout, "local", env_dim=2,
+                                cfg=OptimizerConfig(fits // 2 + 1))
+
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_nonpositive_max_iters_rejected(self, max_iters):
         # Accepted before, these returned a "capacity" read off the start
@@ -1209,6 +1237,17 @@ class TestCapacityNonunitary:
         )
         closed = closed_form_bd_fully_correlated(1, weights)
         assert abs(report.capacity_bits - closed) < 1e-6
+
+    def test_env_dim_must_be_integral(self):
+        # env_dim=2.0 raised numpy's "pad_width must be of integral type".
+        layout = SubsystemLayout([2], 2)
+        chan = identity_channel(layout)
+        message = r"env_dim must be an integer in \[1, 4\] for a dim-2 slot, got 2.0"
+        with pytest.raises(ParameterError, match=message):
+            capacity_nonunitary(bell_state(2), chan, layout, "local", env_dim=2.0, cfg=QUICK)
+        report = capacity_nonunitary(bell_state(2), chan, layout, "local",
+                                     env_dim=np.int64(2), cfg=QUICK)
+        assert abs(report.capacity_bits - 2.0) < 1e-6
 
     def test_env_dim_range_checked(self):
         layout = SubsystemLayout([2], 2)

@@ -507,21 +507,40 @@ class TestCommandLine:
             "depolarizing-copies-1e12", "bell-correlated-20000-dims",
             "custom-20000-sender-dims"])
     def test_oversized_config_exits_2_before_allocating(self, tmp_path, cli_env, cfg):
-        # The child's address space is capped at 4 GiB, so a build that
-        # allocates before checking the cap fails with a MemoryError here
-        # rather than exhausting the machine.
+        # The child's address space is capped at 4 GiB.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        limit = 4 << 30
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
         proc = subprocess.run(
             [sys.executable, "-m", "densecode", "capacity", "--config", str(cfg_path)],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+            capture_output=True, text=True, timeout=60, preexec_fn=address_space_cap(4 << 30),
             env={**cli_env(), "OPENBLAS_NUM_THREADS": "1"},
         )
         assert proc.returncode == 2, proc.stderr
         assert "exceeds cap 1024" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, cfg", [
+        (["capacity"], {**GHZ_CONFIG, "optimizer": {"restarts": 1e12}}),
+        (["sweep", "--param", "channel.q.0", "--from", "0.5", "--to", "0.9",
+          "--steps", "1000000000"], GHZ_CONFIG),
+    ], ids=["restarts-1e12", "sweep-steps-1e9"])
+    def test_unbounded_count_exits_2_before_allocating(self, tmp_path, cli_env, argv, cfg):
+        # Without their caps, the restarts drew start points until the
+        # timeout, and the sweep's linspace raised numpy's MemoryError (exit 1).
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "densecode", argv[0], "--config", str(cfg_path), *argv[1:]],
+            capture_output=True, text=True, timeout=30, preexec_fn=address_space_cap(1 << 30),
+            env={**cli_env(), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "exceeds cap" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def address_space_cap(limit: int):
+    """A ``preexec_fn`` capping the child's address space at ``limit`` bytes,
+    so a build that allocates before checking its cap fails with a
+    MemoryError rather than exhausting the machine."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

@@ -17,7 +17,7 @@ from densecode.linalg import (
     SubsystemLayout,
     _entropy_from_eigenvalues,
     _conjugate_leading,
-    _hermitian_eigh,
+    _entropy_and_log2,
     _kron_stacks,
     check_dim,
     check_power,
@@ -351,22 +351,25 @@ class TestStackedKernels:
                         itertools.product(*[s[idx] for s in stacks])]
             assert np.array_equal(want, np.stack(products))
 
-    def test_hermitian_eigh_checks_each_member(self):
+    def test_entropy_and_log2_checks_each_member(self):
         rng = np.random.default_rng(32)
         stack = np.stack([random_density_matrix(4, rng) for _ in range(3)])
-        w, u = _hermitian_eigh(stack)
-        for m, wm, um in zip(stack, w, u):
+        stack[0] = np.diag([1.0, 0.0, 0.0, 0.0])  # clipped eigenvalues
+        values, log2_stack = _entropy_and_log2(stack)
+        for m, value, log2_m in zip(stack, values, log2_stack):
             want_w, want_u = np.linalg.eigh(m)
-            assert np.array_equal(wm, want_w) and np.array_equal(um, want_u)
+            assert value == _entropy_from_eigenvalues(want_w)
+            want_log2 = (want_u * np.log2(np.maximum(want_w, EIG_CLIP))) @ want_u.conj().T
+            assert np.array_equal(log2_m, want_log2)
         skewed = stack.copy()
         skewed[1, 0, 1] += 1e-6
         with pytest.raises(NumericalError, match="non-Hermitian operator"):
-            _hermitian_eigh(skewed)
+            _entropy_and_log2(skewed)
         for bad in (np.nan, np.inf):
             broken = stack.copy()
             broken[2, 3, 3] = bad
             with pytest.raises(NumericalError, match="non-finite entries"):
-                _hermitian_eigh(broken)
+                _entropy_and_log2(broken)
 
 
 def kron_fold(ops):
