@@ -662,7 +662,8 @@ def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm
         if isinstance(result, BaseException):
             logger.warning("restart %d aborted: %s: %s", rid, type(result).__name__, result)
         else:
-            candidates.append((float(result.fun), point(rid, result.x)))
+            # Charted once it wins: one polar factor per search, not per restart.
+            candidates.append((float(result.fun), functools.partial(point, rid, result.x)))
         if not candidates:
             continue
         value, vs = min(candidates, key=lambda c: c[0])
@@ -671,7 +672,7 @@ def _minimize_restarts(objective, dims, env_dim: int, cfg: OptimizerConfig, warm
             best_value, best = value, vs
     if best is None:
         raise OptimizerDivergedError("no optimizer restart produced a finite entropy")
-    return best_value, best, tuple(trace)
+    return best_value, best() if callable(best) else best, tuple(trace)
 
 
 def _minimize_entropy(rho, channel, layout: SubsystemLayout, dims, env_dim: int, cfg):

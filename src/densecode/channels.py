@@ -10,10 +10,10 @@ which case they tile it in party order (this is how a merged
 product-dimension receiver slot hosts the b_1..b_k parties).
 
 A Pauli channel is diagonal in the Weyl basis, with eigenvalues given by the
-symplectic Fourier transform of its error rates, so ``apply_pauli`` never
-sums the terms: it gathers the shifted diagonals of the state, multiplies by
-the eigenvalues between two products with the group Fourier matrix, and
-scatters back.  The kernel for one channel and layout is four D x D arrays,
+symplectic Fourier transform of its error rates, so applying it never sums
+the terms: it gathers the shifted diagonals of the state, multiplies by the
+eigenvalues between two products with the group Fourier matrix, and scatters
+back.  The kernel for one channel and layout is four D x D arrays,
 O(D^2) memory whatever the number of terms; the adjoint channel runs on the
 same kernel with the conjugate eigenvalues.  The factored entropy objective
 uses the nonzero terms themselves, each a lifted digit permutation and phase
@@ -22,13 +22,13 @@ uses the nonzero terms themselves, each a lifted digit permutation and phase
 Kraus maps and their adjoints conjugate through ``linalg._conjugate_leading``,
 which applies a stack of operators to the leading factor of a state without
 forming K x 1.  ``_stacked_maps`` is the one place that reads a channel's
-type: ``apply_channel``, ``adjoint_map``, ``verify_covariance`` and the
-entropy objective all take their maps from it.  ``apply_cptp``, for a Kraus
-map on some of the slots, permutes them to the front and back around the
-conjugation.  The covariance check conjugates by its sender operators,
-displacement products with one unit-modulus entry per row, as index gathers
-and phases, a chunk of operators at a time, and applies the channel once per
-chunk.
+type: ``apply_channel`` (the one apply entry, also named ``apply_pauli``),
+``adjoint_map``, ``verify_covariance`` and the entropy objective all take
+their maps from it.  ``apply_cptp``, for a Kraus map on some of the slots,
+permutes them to the front and back around the conjugation.  The covariance
+check conjugates by its sender operators, displacement products with one
+unit-modulus entry per row, as index gathers and phases, a chunk of
+operators at a time, and applies the channel once per chunk.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .errors import (
     ProbabilityError,
     REQUIRED,
     SizeLimitError,
+    check_fields,
     json_field,
 )
 from .linalg import (
@@ -56,6 +57,7 @@ from .linalg import (
     _kron_stacks,
     _on_layout,
     as_complex_matrix,
+    check_probabilities,
     permute_slots,
     random_density_matrix,
 )
@@ -79,11 +81,7 @@ class SinglePartyPauliSpec:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (self.d, self.d):
             raise ProbabilityError(f"q table must be {self.d}x{self.d}, got {q.shape}")
-        # Written so that a NaN entry fails them.
-        if not q.min() >= 0:
-            raise ProbabilityError(f"negative or NaN channel probability {float(q.min())!r}")
-        if not abs(q.sum() - 1.0) <= 1e-12:
-            raise ProbabilityError(f"channel probabilities sum to {q.sum()!r}")
+        check_probabilities(q, "channel probability", 1e-12)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
@@ -156,10 +154,7 @@ class PauliChannelSpec:
             raise SizeLimitError(f"joint tensor has {joint.size} entries")
         if len(acts_on) != len(party_dims):
             raise LayoutError("need one slot index per party")
-        if not joint.min() >= 0:
-            raise ProbabilityError(f"negative or NaN joint probability {float(joint.min())!r}")
-        if not abs(joint.sum() - 1.0) <= 1e-10:
-            raise ProbabilityError(f"joint tensor sums to {joint.sum()!r}")
+        check_probabilities(joint, "joint probability", 1e-10)
         joint.setflags(write=False)
         object.__setattr__(self, "party_dims", party_dims)
         object.__setattr__(self, "acts_on", acts_on)
@@ -328,8 +323,7 @@ def fully_correlated_probs(parties: int, q: Sequence[float]) -> PauliChannelSpec
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise ProbabilityError(f"need 4 probabilities, got shape {q.shape}")
-    if not (q.min() >= 0 and abs(q.sum() - 1.0) <= 1e-12):
-        raise ProbabilityError(f"invalid probability vector {q!r}")
+    check_probabilities(q, "channel probability", 1e-12)
     if 4 ** parties > JOINT_TENSOR_CAP:
         raise SizeLimitError(f"joint tensor would have {4 ** parties} entries")
     joint = np.zeros((4,) * parties)
@@ -468,22 +462,6 @@ def _pauli_terms(spec: PauliChannelSpec, layout: SubsystemLayout) -> _PauliTerms
     return terms
 
 
-def apply_pauli(
-    spec: PauliChannelSpec, rho, layout: SubsystemLayout
-) -> np.ndarray:
-    """Apply the joint Pauli channel in the Weyl domain.
-
-    One gather of the D shifted diagonals, two D x D products with the group
-    Fourier matrix around a pointwise multiply by the channel's eigenvalues,
-    and a scatter back (see ``_WeylKernel``).  The kernel is cached on the
-    channel object per layout and holds O(D^2) entries for any number of
-    terms; no per-term operator or Choi matrix is formed.
-    """
-    kernel = _weyl_kernel(spec, layout)
-    rho = _on_layout(as_complex_matrix(rho, "rho"), layout.total_dim)
-    return _weyl_apply(kernel, rho, kernel.eigen)
-
-
 def _weyl_apply(kernel: _WeylKernel, rho: np.ndarray, eigen: np.ndarray) -> np.ndarray:
     """``kernel``'s gather, Fourier products and scatter around a multiply by
     ``eigen``, its eigenvalues for the channel, conjugated for the adjoint, on
@@ -527,9 +505,12 @@ def _kraus_apply(kraus: np.ndarray, rho: np.ndarray, a: int) -> np.ndarray:
 
 
 def apply_channel(channel, rho, layout: SubsystemLayout) -> np.ndarray:
-    """Apply a joint Pauli spec, or a CPTP map on the full space."""
+    """Apply a joint Pauli spec, on its cached Weyl kernel, or a CPTP map on the full space."""
     forward = _stacked_maps(channel, layout)[0]
     return forward(_on_layout(as_complex_matrix(rho, "rho"), layout.total_dim))
+
+
+apply_pauli = apply_channel
 
 
 def adjoint_map(channel, layout: SubsystemLayout):
@@ -680,8 +661,8 @@ def channel_from_json(doc: dict) -> PauliChannelSpec:
     Joint form: ``{"party_dims", "joint", "shape", "acts_on"?}``.
     Correlated form: ``{"parties", "d", "singles", "mu", "acts_on"?}`` where
     ``singles`` is one d x d table per party and ``mu`` the symmetric
-    correlation matrix, or one degree for every pair.  A missing, mistyped or
-    mis-sized field raises ChannelError naming it.
+    correlation matrix, or one degree for every pair.  A missing, mistyped,
+    mis-sized or unknown field raises ChannelError naming it.
     """
     if not isinstance(doc, dict):
         raise ChannelError(f"channel: expected an object, got {type(doc).__name__}")
@@ -690,6 +671,7 @@ def channel_from_json(doc: dict) -> PauliChannelSpec:
         return json_field(doc, f"channel.{name}", kind, default, ChannelError)
 
     if "joint" in doc:
+        check_fields(doc, "channel", ("party_dims", "joint", "shape", "acts_on"), ChannelError)
         party_dims = read("party_dims", tuple)
         joint = np.asarray(read("joint", list), dtype=float)
         shape = read("shape", tuple)
@@ -700,6 +682,7 @@ def channel_from_json(doc: dict) -> PauliChannelSpec:
                                f"'shape' {list(shape)} needs {math.prod(shape)}")
         acts_on = read("acts_on", tuple, tuple(range(len(party_dims))))
         return PauliChannelSpec(party_dims, joint.reshape(shape), acts_on)
+    check_fields(doc, "channel", ("parties", "d", "singles", "mu", "acts_on"), ChannelError)
     parties = read("parties", int)
     d = read("d", int)
     singles = [SinglePartyPauliSpec(d, t) for t in read("singles", list)]

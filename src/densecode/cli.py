@@ -46,7 +46,7 @@ from .channels import (
     verify_covariance,
 )
 from .displacement import local_encoding_set, twirl, verify_displacement_algebra
-from .errors import ConfigError, DensecodeError, ParameterError, json_field
+from .errors import ConfigError, DensecodeError, ParameterError, check_fields, json_field
 from .linalg import (
     SubsystemLayout,
     check_power,
@@ -83,6 +83,13 @@ SCENARIOS = (
     "depolarizing",
     "custom",
 )
+# The fields each block of a config reads: the document's, and by scenario
+# its state's and its channel's (channel documents check their own).
+CONFIG_FIELDS = ("scenario", "seed", "mode", "run_optimizer", "optimizer", "state", "channel")
+STATE_FIELDS = {"bell-correlated": ("dims",), "bell-diagonal-full": ("weights", "copies"),
+                "ghz-full": ("copies",), "depolarizing": ("d", "copies"),
+                "custom": ("matrix", "layout")}
+CHANNEL_FIELDS = {"bell-diagonal-full": ("q",), "ghz-full": ("q",), "depolarizing": ("p",)}
 
 
 @dataclass
@@ -131,9 +138,7 @@ def rows_to_json(rows) -> str:
 
 def _optimizer_config(cfg: dict, seed: int) -> OptimizerConfig:
     opt = json_field(cfg, "optimizer", dict, {})
-    unknown = set(opt) - {"restarts", "max_iters"}
-    if unknown:
-        raise ConfigError(f"optimizer: unknown fields {sorted(unknown)}")
+    check_fields(opt, "optimizer", ("restarts", "max_iters"))
     try:
         return OptimizerConfig(
             restarts=json_field(opt, "optimizer.restarts", int, OptimizerConfig.restarts),
@@ -153,6 +158,7 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
         raise ConfigError(
             f"scenario: unknown value {scenario!r}; expected one of {SCENARIOS}"
         )
+    check_fields(cfg, "config", CONFIG_FIELDS)
     seed = json_field(cfg, "seed", int, OptimizerConfig.seed)
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
@@ -161,12 +167,18 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
     mode = json_field(cfg, "mode", str, "local")
     state_cfg = json_field(cfg, "state", dict, {})
     chan_cfg = json_field(cfg, "channel", dict, {})
+    check_fields(state_cfg, "state", STATE_FIELDS[scenario])
+    if scenario in CHANNEL_FIELDS:
+        check_fields(chan_cfg, "channel", CHANNEL_FIELDS[scenario])
 
     if scenario == "bell-correlated":
         dims = json_field(state_cfg, "state.dims", tuple)
+        if "joint" not in chan_cfg:
+            # The correlated form's parties and d are the copies and their dim.
+            check_fields(chan_cfg, "channel", ("singles", "mu", "acts_on"))
+            chan_cfg = {**chan_cfg, "parties": len(dims), "d": dims[0]}
         rho, layout = bell_copies(dims)
-        # The correlated form's parties and d are the copies and their dim.
-        channel = channel_from_json({**chan_cfg, "parties": len(dims), "d": dims[0]})
+        channel = channel_from_json(chan_cfg)
         closed = closed_form_bell_correlated(channel, dims)
     elif scenario == "bell-diagonal-full":
         weights = json_field(state_cfg, "state.weights", list)
@@ -199,11 +211,13 @@ def run_scenario(cfg: dict) -> list[ResultRow]:
         channel = product_probs([dep] * (2 * copies), acts_on)
     else:  # custom
         matrix = json_field(state_cfg, "state.matrix", dict)
+        layout_cfg = json_field(state_cfg, "state.layout", dict)
+        check_fields(matrix, "state.matrix", ("re", "im"))
+        check_fields(layout_cfg, "state.layout", ("sender_dims", "receiver_dim"))
         re = np.asarray(json_field(matrix, "state.matrix.re", list), dtype=float)
         im = np.asarray(json_field(matrix, "state.matrix.im", list, 0 * re), dtype=float)
         if re.shape != im.shape:
             raise ConfigError("state.matrix: re and im shapes differ")
-        layout_cfg = json_field(state_cfg, "state.layout", dict)
         layout = SubsystemLayout(
             json_field(layout_cfg, "state.layout.sender_dims", tuple),
             json_field(layout_cfg, "state.layout.receiver_dim", int),
@@ -418,13 +432,17 @@ def _load_config(path: str) -> dict:
 
 
 def _emit(rows, out_path: str | None, as_json: bool) -> None:
+    """Rows to stdout, then to ``out_path``; an unwritable one is a ConfigError."""
     csv_text = rows_to_csv(rows)
     json_text = rows_to_json(rows)
+    sys.stdout.write(json_text if as_json else csv_text)
     if out_path:
         text = json_text if out_path.endswith(".json") else csv_text
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(json_text if as_json else csv_text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"{out_path}: {exc.strerror}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

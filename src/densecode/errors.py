@@ -89,3 +89,11 @@ def json_field(doc: dict, path: str, kind, default=REQUIRED, error=ConfigError):
     if kind is tuple:
         return tuple(int(x) for x in value)
     return int(value) if kind is int else value
+
+
+def check_fields(doc: dict, path: str, known, error=ConfigError) -> None:
+    """Raise ``error`` naming every field of ``doc``, the block at the dotted
+    ``path``, that is not in ``known``: a field no reader reads."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise error(f"{path}: unknown fields {sorted(unknown)}")

@@ -228,13 +228,21 @@ def von_neumann_entropy(rho) -> float:
     return float(_entropy_from_eigenvalues(np.linalg.eigvalsh(rho)))
 
 
+def check_probabilities(p, what: str, tol: float) -> np.ndarray:
+    """``p`` as a float array of any shape whose entries are all ``>= 0`` and
+    sum to 1 within ``tol``; else ProbabilityError naming ``what``."""
+    p = np.asarray(p, dtype=float)
+    # Written so that a NaN entry fails them; an empty table fails the sum.
+    if not p.min(initial=0.0) >= 0:
+        raise ProbabilityError(f"negative or NaN {what} {float(p.min())!r}")
+    if not abs(p.sum() - 1.0) <= tol:
+        raise ProbabilityError(f"{what} entries sum to {float(p.sum())!r}, not 1")
+    return p
+
+
 def shannon_entropy(p) -> float:
-    """Shannon entropy in bits of a probability vector (any shape)."""
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size and p.min() < -1e-12:
-        raise ProbabilityError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ProbabilityError(f"probabilities sum to {p.sum()!r}, not 1")
+    """Shannon entropy in bits of a probability table (any shape), checked to 1e-9."""
+    p = check_probabilities(p, "probability", 1e-9)
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum())
 

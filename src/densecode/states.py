@@ -17,7 +17,8 @@ import numpy as np
 
 from .displacement import displacement_op
 from .errors import LayoutError, ParameterError, ProbabilityError
-from .linalg import SubsystemLayout, check_dim, check_power, kron_all, permute_slots
+from .linalg import (SubsystemLayout, check_dim, check_power, check_probabilities,
+                     kron_all, permute_slots)
 
 # Bell-diagonal weights index the Bell basis in lexicographic (m, n) order:
 # Phi_00, Phi_01, Phi_10, Phi_11.
@@ -56,10 +57,7 @@ def bell_diagonal(weights: Sequence[float]) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (4,):
         raise ProbabilityError(f"need 4 weights, got shape {w.shape}")
-    if w.min() < 0:
-        raise ProbabilityError(f"negative weight {w.min()!r}")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise ProbabilityError(f"weights sum to {w.sum()!r}, not 1")
+    check_probabilities(w, "Bell-diagonal weight", 1e-12)
     rho = np.zeros((4, 4), dtype=complex)
     for p, (m, n) in zip(w, BELL_LABEL_ORDER):
         if p:

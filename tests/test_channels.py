@@ -477,6 +477,9 @@ class TestFullyCorrelated:
 
 
 class TestApplyPauli:
+    def test_is_the_one_apply_entry(self):
+        assert channels.apply_pauli is channels.apply_channel
+
     def test_identity_spec(self):
         layout = SubsystemLayout([2], 2)
         spec = product_probs([depolarizing_probs(2, 0.0)] * 2)

@@ -244,7 +244,7 @@ NAN = math.nan
 
 @pytest.mark.parametrize("cfg, message", [
     (with_field(GHZ_CONFIG, "channel.q", [NAN, 0.05, 0.05, 0.05]),
-     "invalid probability vector"),
+     "negative or NaN channel probability nan"),
     (with_field(bell_correlated_config(0.5), "channel.singles",
                 [[[NAN, 0.1], [0.1, 0.1]], [[0.6, 0.2], [0.1, 0.1]]]),
      "negative or NaN channel probability nan"),
@@ -258,7 +258,13 @@ NAN = math.nan
      "negative or NaN joint probability nan"),
     ({**CUSTOM_CONFIG, "channel": {"joint": [], "party_dims": [0], "shape": [0]}},
      "party dimensions must be >= 2, got [0]"),
-], ids=["q", "singles", "mu", "mu-matrix", "joint", "joint-second", "party-dim-0"])
+    # The NaN weight reached the Bell-diagonal state and failed there as
+    # "factor contains non-finite entries".
+    ({"scenario": "bell-diagonal-full", "state": {"weights": [0.7, NAN, 0.1, 0.1]},
+      "channel": {"q": [0.85, 0.05, 0.05, 0.05]}, "optimizer": QUICK_OPT},
+     "negative or NaN Bell-diagonal weight nan"),
+], ids=["q", "singles", "mu", "mu-matrix", "joint", "joint-second", "party-dim-0",
+        "weights"])
 def test_nan_probability_rejected(tmp_path, capsys, cfg, message):
     # Every comparison with NaN is false, so checks written as "fails if
     # below 0" passed it, and the run ended in a LinAlgError traceback.  A
@@ -267,6 +273,37 @@ def test_nan_probability_rejected(tmp_path, capsys, cfg, message):
     status, err = run_cli_config(tmp_path, capsys, cfg)
     assert status == 2
     assert err.startswith("error: ") and message in err
+
+
+JOINT_BELL_CONFIG = {**bell_correlated_config(0.5), "channel": CUSTOM_CONFIG["channel"]}
+
+
+@pytest.mark.parametrize("cfg, path, block", [
+    (GHZ_CONFIG, "mdoe", "config"),
+    (bell_correlated_config(0.5), "state.dim", "state"),
+    (GHZ_CONFIG, "state.copis", "state"),
+    (CUSTOM_CONFIG, "state.layout.receiver", "state.layout"),
+    (CUSTOM_CONFIG, "state.matrix.imag", "state.matrix"),
+    (bell_correlated_config(0.5), "channel.m", "channel"),
+    (bell_correlated_config(0.5), "channel.parties", "channel"),
+    (JOINT_BELL_CONFIG, "channel.shap", "channel"),
+    ({"scenario": "bell-diagonal-full", "state": {"weights": [0.7, 0.1, 0.1, 0.1]},
+      "channel": {"q": [0.8, 0.1, 0.05, 0.05]}}, "channel.p", "channel"),
+    (GHZ_CONFIG, "channel.qq", "channel"),
+    ({"scenario": "depolarizing", "state": {"d": 2}, "channel": {"p": 0.3}},
+     "channel.pp", "channel"),
+    (CUSTOM_CONFIG, "channel.party_dim", "channel"),
+    (with_field(CUSTOM_CONFIG, "channel", {"parties": 2, "d": 2, "mu": 0,
+                                           "singles": [[[1, 0], [0, 0]]] * 2}),
+     "channel.acts", "channel"),
+], ids=["top", "state-bell", "state-ghz", "state.layout", "state.matrix",
+        "channel-bell", "channel-bell-parties", "channel-bell-joint", "channel-bd",
+        "channel-ghz", "channel-depolarizing", "channel-joint", "channel-correlated"])
+def test_unknown_field_rejected(tmp_path, capsys, cfg, path, block):
+    # A field no reader reads was ignored: "mdoe": "global" ran local mode.
+    status, err = run_cli_config(tmp_path, capsys, with_field(cfg, path, 2))
+    assert status == 2
+    assert err == f"error: {block}: unknown fields [{path.rpartition('.')[2]!r}]\n"
 
 
 @pytest.mark.parametrize("path, value", [
@@ -333,6 +370,16 @@ class TestSweep:
         cfg = {**GHZ_CONFIG, "channel": 5} if param == "channel.p" else GHZ_CONFIG
         with pytest.raises(ConfigError, match=f"sweep: cannot set '{param}'"):
             run_sweep(cfg, param, 0.0, 1.0, 2)
+
+    def test_missing_path_rejected(self, tmp_path, capsys):
+        # It set a field nothing reads and printed one identical row per step.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "depolarizing", "state": {"d": 2},
+                                        "channel": {"p": 0.3}, "run_optimizer": False}))
+        argv = ["sweep", "--config", str(cfg_path), "--param", "channel.pp",
+                "--from", "0", "--to", "1", "--steps", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: channel: unknown fields ['pp']\n")
 
     def test_sweep_scalar_mu(self):
         rows = run_sweep(bell_correlated_config(0.0), "channel.mu", 0.0, 1.0, 3)
@@ -416,6 +463,21 @@ class TestUsageErrors:
                 "--from", "0.5", "--to", "0.9", "--steps", "0"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: sweep: steps must be >= 1\n"
+
+    @pytest.mark.parametrize("target, reason", [
+        ("dir", "Is a directory"), ("absent/rows.csv", "No such file or directory")])
+    def test_unwritable_out_exits_2_after_the_rows(self, tmp_path, capsys, target, reason):
+        # It ended in a traceback, exit 1, after the run and before any output.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "depolarizing", "state": {"d": 2},
+                                        "channel": {"p": 0.3}, "run_optimizer": False}))
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / target
+        assert main(["capacity", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("# densecode-lab v1\n")
+        assert "\ndepolarizing," in captured.out
+        assert captured.err == f"error: {out}: {reason}\n"
 
     def test_custom_without_optimizer(self, tmp_path, capsys):
         status, err = run_cli_config(tmp_path, capsys,

@@ -21,6 +21,7 @@ from densecode.linalg import (
     _kron_stacks,
     check_dim,
     check_power,
+    check_probabilities,
     dimension_cap,
     kron,
     kron_all,
@@ -258,6 +259,43 @@ class TestEntropies:
         w = np.array([[0.0, 0.5, 0.5], [-2e-10, 0.2, 0.8], [0.1, 0.1, 0.8]])
         with pytest.raises(NumericalError, match=r"min eigenvalue -2\.000e-10"):
             _entropy_from_eigenvalues(w)
+
+
+class TestCheckProbabilities:
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_in_any_position_fails(self, shape, position):
+        # A NaN fails no comparison written as "below 0 fails".
+        p = np.full(4, 0.25)
+        p[position] = math.nan
+        with pytest.raises(ProbabilityError, match="^negative or NaN table entry nan$"):
+            check_probabilities(p.reshape(shape), "table entry", 1e-12)
+
+    def test_negative_entry_fails(self):
+        with pytest.raises(ProbabilityError, match="^negative or NaN weight -0.1$"):
+            check_probabilities([0.6, -0.1, 0.5], "weight", 1e-12)
+
+    def test_bad_sum_fails(self):
+        with pytest.raises(ProbabilityError, match="^weight entries sum to 0.9, not 1$"):
+            check_probabilities([0.5, 0.4], "weight", 1e-12)
+        with pytest.raises(ProbabilityError, match="sum to 0.0, not 1"):
+            check_probabilities([], "weight", 1e-12)
+
+    def test_tolerance_is_the_callers(self):
+        p = [0.5, 0.5 + 1e-11]
+        assert check_probabilities(p, "weight", 1e-10).tolist() == p
+        with pytest.raises(ProbabilityError, match="sum to"):
+            check_probabilities(p, "weight", 1e-12)
+
+    def test_integer_input_returned_as_float(self):
+        p = check_probabilities([[0, 1], [0, 0]], "weight", 0.0)
+        assert p.dtype == np.float64 and p.shape == (2, 2)
+        assert p.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+    def test_shannon_entropy_rejects_nan(self):
+        # It dropped the NaN and returned -0.0.
+        with pytest.raises(ProbabilityError, match="NaN"):
+            shannon_entropy([math.nan, 1.0])
 
 
 class TestValidation:

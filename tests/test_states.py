@@ -115,6 +115,11 @@ class TestBellDiagonal:
         with pytest.raises(ProbabilityError):
             bell_diagonal([0.5, 0.2, 0.2, 0.2])
 
+    def test_rejects_nan_weight(self):
+        # It returned a NaN matrix.
+        with pytest.raises(ProbabilityError, match="negative or NaN Bell-diagonal weight nan"):
+            bell_diagonal([np.nan, 0.5, 0.25, 0.25])
+
 
 class TestGhz:
     def test_two_parties_is_bell(self):
